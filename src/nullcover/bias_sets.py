@@ -32,6 +32,7 @@ from typing import Optional
 
 import numpy as np
 
+from nullcover.elementary import frac
 from nullcover.gf import (
     DEFAULT_FIELD_CAP,
     FieldError,
@@ -44,10 +45,6 @@ from nullcover.groups import FiniteAbelianGroup, GroupSubset, linear_bias, sumse
 
 class ParameterError(ValueError):
     pass
-
-
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -99,7 +96,7 @@ class PropositionParams:
 
 def select_parameters(eta, m0: int, d: int, cap: int = DEFAULT_FIELD_CAP) -> PropositionParams:
     """Smallest prime k in [1/eta, 2/eta], then smallest s with 2^{s(k-1)} >= m0."""
-    eta = _as_fraction(eta)
+    eta = frac(eta)
     if m0 < 1:
         raise ParameterError("m0 must be >= 1")
     lo, hi = 1 / eta, 2 / eta
@@ -272,7 +269,7 @@ def verify_coverage_bound(A: GroupSubset, B: GroupSubset, eta, bias: Fraction | 
     The rigorous bound must pass for any B; the headline bound is reported
     as found.  `bias` may be supplied to skip recomputation.
     """
-    eta = _as_fraction(eta)
+    eta = frac(eta)
     if A.size == 0:
         raise ParameterError("coverage bound undefined for empty A")
     if B.size == 0:
@@ -363,10 +360,10 @@ def integer_cover_in_box(A_points: np.ndarray, box: SignedBoxSet, m: int) -> np.
 
 def coverage_threshold(lemma_constant: Fraction, eps) -> int:
     """Least N with 1 + K_B/N <= 1/(1-eps): cyclic coverage >= (1-eps) m^d."""
-    eps = _as_fraction(eps)
+    eps = frac(eps)
     if not (0 < eps < 1):
         raise ParameterError("eps must lie in (0, 1)")
-    need = _as_fraction(lemma_constant) * (1 - eps) / eps
+    need = frac(lemma_constant) * (1 - eps) / eps
     n = int(need)
     return n + 1 if need != n else max(n, 1)
 
@@ -485,8 +482,8 @@ def build_patch_template(
     budget is len(wraps) * 2 * eta_prop * m <= eta * m, i.e.
     eta_prop = eta / (2 * len(wraps)).
     """
-    eta = _as_fraction(eta)
-    eps = _as_fraction(eps)
+    eta = frac(eta)
+    eps = frac(eps)
     n_wraps = len(wraps)
     eta_prop = eta / (2 * n_wraps)
     if eta_prop > Fraction(1, 3):
@@ -588,10 +585,10 @@ def continuous_patch_complement(
     then exact by the cyclic certificate.  d = 1; higher dimension exceeds
     the field cap for every admissible eta and raises ParameterError.
     """
-    side = _as_fraction(side)
-    delta = _as_fraction(delta)
-    eta = _as_fraction(eta)
-    eps = _as_fraction(eps)
+    side = frac(side)
+    delta = frac(delta)
+    eta = frac(eta)
+    eps = frac(eps)
     if delta <= 0 or side <= 0:
         raise ParameterError("side and delta must be positive")
     if delta > side:
@@ -601,7 +598,7 @@ def continuous_patch_complement(
     # sides, wraps {-1, 0, 1}
     tpl = build_patch_template(eta, eps, wraps=(-1, 0, 1), min_m=min_m, cap=cap)
     return PatchComplement(
-        cube_corner=_as_fraction(cube_corner),
+        cube_corner=frac(cube_corner),
         side=side,
         template=tpl,
         delta_requested=delta,

@@ -36,7 +36,10 @@ def _rational(text: str) -> Fraction:
 def _write_atomic(path: str, payload: str):
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".nullcover-")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates 0600; give the usual mode
         with os.fdopen(fd, "w") as fh:
             fh.write(payload)
         os.replace(tmp, path)
@@ -143,13 +146,7 @@ def _cmd_dimension(args) -> int:
 
 
 def _cmd_rrp(args) -> int:
-    from nullcover.engine import (
-        AffineMap,
-        EngineError,
-        FunctionFamily,
-        middle_thirds_points,
-        rrp_run,
-    )
+    from nullcover.engine import AffineMap, FunctionFamily, middle_thirds_points, rrp_run
 
     points = middle_thirds_points(args.cantor_depth, grid_exp=args.grid_exp)
     fam = FunctionFamily(
@@ -160,7 +157,7 @@ def _cmd_rrp(args) -> int:
     try:
         trace = rrp_run(points, fam, depth=args.depth, rho_schedule=rho,
                         piece_w_schedule=[12] * args.depth)
-    except EngineError as exc:
+    except ValueError as exc:  # EngineError, CoverError, ParameterError
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1
     _emit(trace.to_json_dict(), args.out, "json")
@@ -168,12 +165,12 @@ def _cmd_rrp(args) -> int:
 
 
 def _cmd_full_measure(args) -> int:
-    from nullcover.engine import EngineError, GridSet, full_measure_run
+    from nullcover.engine import GridSet, full_measure_run
 
     grid = GridSet(spacing_exponent=args.spacing_exp, region=[(Fraction(0), Fraction(1, 2))])
     try:
         trace = full_measure_run(grid, args.eps, depth=args.depth)
-    except EngineError as exc:
+    except ValueError as exc:  # EngineError, CoverError, ParameterError
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1
     _emit(trace.to_json_dict(), args.out, "json")

@@ -29,7 +29,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from nullcover.elementary import ElementarySet, IntervalAccumulator, frac
+from nullcover.elementary import (
+    ElementarySet,
+    covered_measure,
+    first_gap,
+    frac,
+    merge_int,
+    points_plus,
+)
 from nullcover.groups import FiniteAbelianGroup, GroupSubset
 
 
@@ -447,80 +454,76 @@ def greedy_piece_cover(
     """Deterministic greedy cover with width-`piece_w` pieces at exact witness
     offsets: every member's target ends up inside points + union(T).
 
-    A member is (points sorted ascending, target) where target is one
-    (lo, hi) pair or a list of pairs.  At each uncovered point u the
-    candidate anchors are u - x for witnesses x picked across the whole
-    window-admissible range; the anchor whose piece is fresh for the most
+    A member is (points sorted ascending, target), the target one (lo, hi)
+    pair or a sequence of pairs, or (points, lo, hi).  At each uncovered
+    point u the candidate anchors are u - x for witnesses x picked across
+    the whole window-admissible range; the anchor whose piece is fresh for the most
     strided probe translates wins (ties to the smallest anchor).  Anchoring
     at exact offsets lets self-similar point sets reuse pieces heavily,
     which is what keeps the measure near the structural optimum.  `budget`
     bounds the merged measure of T (same integer frame); CoverError when
     exceeded.
     """
-    norm = []
-    for p, *rest in members:
-        pts = np.asarray(p, dtype=np.int64).reshape(-1)
-        if len(rest) == 2:
-            targets = [(int(rest[0]), int(rest[1]))]
-        else:
-            tg = rest[0]
-            targets = [(int(a), int(b)) for a, b in (tg if isinstance(tg, list) else [tg])]
-        norm.append((pts, targets))
-    t_acc = IntervalAccumulator()
-    segs = [IntervalAccumulator() for _ in norm]
-    pieces: set[tuple[int, int]] = set()
-
-    def add_piece(o: int):
-        pieces.add((o, o + piece_w))
-        t_acc.add(o, o + piece_w)
-        for (pts, _), acc in zip(norm, segs):
-            for p in pts.tolist():
-                acc.add(p + o, p + o + piece_w)
-
+    norm = [
+        (
+            np.asarray(p, dtype=np.int64).reshape(-1),
+            np.asarray(rest if len(rest) == 2 else rest[0], dtype=np.int64).reshape(-1, 2),
+        )
+        for p, *rest in members
+    ]
+    chosen: set[int] = set()
     for mi, (pts, targets) in enumerate(norm):
         if pts.size == 0:
             raise CoverError(f"member {mi} has no points")
         probes = pts[::probe_stride]
-        acc = segs[mi]
-        for lo, hi in targets:
+        offs = np.array(sorted(chosen), dtype=np.int64)
+        union = points_plus(pts, offs, offs + piece_w)
+        # a target covered now stays covered, so only the open ones are walked
+        lo_t, hi_t = targets.T
+        open_now = covered_measure(*union, lo_t, hi_t) < hi_t - lo_t
+        for lo, hi in targets[open_now].tolist():
             while True:
-                u = acc.first_gap(lo, hi)
+                u = first_gap(*union, lo, hi)
                 if u is None:
                     break
-                uu = int(u)
                 # witnesses whose offset can sit inside the allowed window
-                w0 = int(np.searchsorted(pts, uu - (allowed_hi - piece_w), side="left"))
-                w1 = int(np.searchsorted(pts, uu - allowed_lo, side="right"))
+                w0 = int(np.searchsorted(pts, u - (allowed_hi - piece_w), side="left"))
+                w1 = int(np.searchsorted(pts, u - allowed_lo, side="right"))
                 if w1 <= w0:
                     raise CoverError(
                         f"cannot cover member {mi} at {u} within the allowed window"
                     )
-                iu = int(np.searchsorted(pts, uu, side="right"))
+                iu = int(np.searchsorted(pts, u, side="right"))
                 cand = set(range(max(w0, iu - n_candidates // 2), min(w1, iu + 8)))
                 if len(cand) < n_candidates:
                     stride = max(1, (w1 - w0) // (n_candidates - len(cand) + 1))
                     cand.update(range(w0, w1, stride))
-                best = None
-                for ji in sorted(cand):
-                    o = uu - int(pts[ji])
-                    if o < allowed_lo or o + piece_w > allowed_hi or (o, o + piece_w) in pieces:
-                        continue
-                    # fresh measure the piece would add across probe translates
-                    gain = 0
-                    for p in probes.tolist():
-                        q0, q1 = max(p + o, lo), min(p + o + piece_w, hi)
-                        if q1 > q0:
-                            gain += (q1 - q0) - acc.covered_measure(q0, q1)
-                    if best is None or gain > best[0] or (gain == best[0] and o < best[1]):
-                        best = (gain, o)
-                if best is None:
+                o = u - pts[sorted(cand)]
+                o = o[(o >= allowed_lo) & (o + piece_w <= allowed_hi)]
+                o = o[[x not in chosen for x in o.tolist()]]
+                if o.size == 0:
                     raise CoverError(
                         f"cannot cover member {mi} at {u} within the allowed window"
                     )
-                add_piece(best[1])
-                if t_acc.measure() > budget:
+                # fresh measure each piece would add across probe translates;
+                # the largest gain wins, ties to the smallest offset
+                q0 = np.maximum(probes + o[:, None], lo)
+                q1 = np.minimum(probes + o[:, None] + piece_w, hi)
+                fresh = np.where(q1 > q0, (q1 - q0) - covered_measure(*union, q0, q1), 0)
+                gain = fresh.sum(axis=1)
+                best = int(o[gain == gain.max()].min())
+                chosen.add(best)
+                union = _extend(union, pts, best, best + piece_w)
+                taken = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
+                t_lo, t_hi = merge_int(taken, taken + piece_w)
+                if int((t_hi - t_lo).sum()) > budget:
                     raise CoverError(f"greedy piece cover exceeded the budget {budget}")
-    return sorted(pieces)
+    return [(o, o + piece_w) for o in sorted(chosen)]
+
+
+def _extend(union, pts: np.ndarray, lo: int, hi: int):
+    """A merged union grown by pts + [lo, hi]."""
+    return merge_int(np.concatenate((union[0], pts + lo)), np.concatenate((union[1], pts + hi)))
 
 
 def greedy_cell_complement(
@@ -541,32 +544,25 @@ def greedy_cell_complement(
     """
     members = [(np.asarray(p, dtype=np.int64).reshape(-1), int(lo), int(hi)) for p, lo, hi in members]
     chosen: set[int] = set()
-    segs = [IntervalAccumulator() for _ in members]
-
-    def add_cell(c: int):
-        chosen.add(c)
-        lo_t, hi_t = c * cell_w, (c + 1) * cell_w
-        for (pts, _, _), acc in zip(members, segs):
-            for p in pts.tolist():
-                acc.add(Fraction(p + lo_t), Fraction(p + hi_t))
-
     for mi, (pts, lo, hi) in enumerate(members):
         if pts.size == 0:
             raise CoverError(f"member {mi} has no points")
+        cells = np.array(sorted(chosen), dtype=np.int64)
+        union = points_plus(pts, cells * cell_w, (cells + 1) * cell_w)
         while True:
-            u = segs[mi].first_gap(Fraction(lo), Fraction(hi))
+            u = first_gap(*union, lo, hi)
             if u is None:
                 break
-            uu = int(u)  # all endpoints are integers in this frame
-            iu = int(np.searchsorted(pts, uu, side="right")) - 1
+            iu = int(np.searchsorted(pts, u, side="right")) - 1
             # witness order: closest point below the gap, then points above
             candidates = list(range(iu, -1, -1)) + list(range(iu + 1, pts.size))
             placed = False
             for j in candidates:
-                c = (uu - int(pts[j])) // cell_w
+                c = (u - int(pts[j])) // cell_w
                 if c * cell_w < allowed_lo or (c + 1) * cell_w > allowed_hi or c in chosen:
                     continue
-                add_cell(c)
+                chosen.add(c)
+                union = _extend(union, pts, c * cell_w, (c + 1) * cell_w)
                 placed = True
                 break
             if not placed:
@@ -717,15 +713,7 @@ def _anchored_random_draw(obligations, scale, allowed_lo, allowed_hi, budget_cel
 
 
 def _obligations_covered(obligations, cells, scale) -> bool:
-    for pts, lo, hi in obligations:
-        acc = IntervalAccumulator()
-        lo_f, hi_f = Fraction(lo), Fraction(hi)
-        for c in cells.tolist():
-            clo, chi = c * scale, (c + 1) * scale
-            for p in pts.tolist():
-                a, b = p + clo, p + chi
-                if b > lo and a < hi:
-                    acc.add(Fraction(a), Fraction(b))
-        if acc.first_gap(lo_f, hi_f) is not None:
-            return False
-    return True
+    return all(
+        first_gap(*points_plus(pts, cells * scale, (cells + 1) * scale), lo, hi) is None
+        for pts, lo, hi in obligations
+    )

@@ -1,10 +1,11 @@
 """Elementary sets (finite unions of axis-aligned rational boxes) and exact
 1-d interval bookkeeping.
 
-Boxes carry `Fraction` corners so volumes, intersections and neighborhood
-inflations are exact; nothing here touches floating point.  Dimension one
-gets the full toolkit (merge, union measure, complement within a window)
-because the construction engine does its verification there; higher
+Boxes carry `Fraction` corners so volumes are exact; nothing here touches
+floating point.  Dimension one also gets one exact int64 kernel for "points
++ intervals, merged" (`merge_int`, `points_plus`, `first_gap`,
+`covered_measure`), on which the construction engine and the greedy covers
+run; `IntervalAccumulator` is its one-interval-at-a-time reference.  Higher
 dimensions only need disjoint-cell unions, which the covering module builds
 directly from integer cell sets.
 """
@@ -14,7 +15,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 
 def frac(x) -> Fraction:
@@ -34,48 +37,59 @@ def merge_intervals(intervals: Iterable[tuple[Fraction, Fraction]]) -> list[tupl
     return out
 
 
-def intervals_measure(intervals: Sequence[tuple[Fraction, Fraction]]) -> Fraction:
-    return sum((b - a for a, b in intervals), Fraction(0))
+def merge_int(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted disjoint union of the closed intervals [lo_i, hi_i] (int64
+    arrays) as (starts, ends); empty ones drop and touching ones join.
+
+    Sort the starts, take a running max of the ends, and split wherever a
+    start exceeds the running max of everything before it.  Callers keep
+    every value well inside int64 (the engine's frame stays below 2^60), so
+    no sum here or in `points_plus` wraps.
+    """
+    lo = np.asarray(lo, dtype=np.int64).reshape(-1)
+    hi = np.asarray(hi, dtype=np.int64).reshape(-1)
+    keep = hi > lo
+    lo, hi = lo[keep], hi[keep]
+    if lo.size == 0:
+        return lo, hi
+    order = np.argsort(lo, kind="stable")
+    lo = lo[order]
+    reach = np.maximum.accumulate(hi[order])
+    split = np.flatnonzero(lo[1:] > reach[:-1]) + 1
+    return lo[np.concatenate(([0], split))], reach[np.concatenate((split - 1, [lo.size - 1]))]
 
 
-def intervals_intersect(
-    xs: Sequence[tuple[Fraction, Fraction]], lo: Fraction, hi: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    out = []
-    for a, b in xs:
-        a2, b2 = max(a, lo), min(b, hi)
-        if b2 > a2:
-            out.append((a2, b2))
-    return out
+def points_plus(points, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Merged union of points + [lo_k, hi_k] over every point and interval."""
+    p = np.asarray(points, dtype=np.int64).reshape(-1, 1)
+    return merge_int(p + np.asarray(lo, dtype=np.int64), p + np.asarray(hi, dtype=np.int64))
 
 
-def intervals_subtract(
-    base: Sequence[tuple[Fraction, Fraction]], holes: Sequence[tuple[Fraction, Fraction]]
-) -> list[tuple[Fraction, Fraction]]:
-    """base minus holes, both sorted disjoint; result sorted disjoint."""
-    out = []
-    holes = list(holes)
-    hi_idx = 0
-    for a, b in base:
-        cur = a
-        while hi_idx < len(holes) and holes[hi_idx][1] <= cur:
-            hi_idx += 1
-        j = hi_idx
-        while j < len(holes) and holes[j][0] < b:
-            ha, hb = holes[j]
-            if ha > cur:
-                out.append((cur, min(ha, b)))
-            cur = max(cur, hb)
-            if cur >= b:
-                break
-            j += 1
-        if cur < b:
-            out.append((cur, b))
-    return out
+def first_gap(starts: np.ndarray, ends: np.ndarray, a: int, b: int):
+    """Leftmost point of [a, b] not covered by a merged union, or None."""
+    i = int(np.searchsorted(starts, a, side="right")) - 1
+    cur = max(a, int(ends[i])) if i >= 0 else a
+    return None if cur >= b else cur
+
+
+def covered_measure(starts: np.ndarray, ends: np.ndarray, a, b) -> np.ndarray:
+    """Covered measure of each [a, b] (int64 arrays, b >= a) under a merged union."""
+
+    def below(x):  # measure of the union left of x
+        i = np.searchsorted(starts, x, side="right")
+        prev = np.maximum(i - 1, 0)
+        part = np.clip(x - starts[prev], 0, ends[prev] - starts[prev])
+        return np.where(i > 0, cum[prev] + part, 0)
+
+    if starts.size == 0:
+        return np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+    cum = np.concatenate(([0], np.cumsum(ends - starts)[:-1]))
+    return below(b) - below(a)
 
 
 class IntervalAccumulator:
-    """Growing union of closed intervals with cheap incremental insertion."""
+    """Growing union of closed intervals, one insertion at a time: the
+    reference the int64 kernel above is tested against."""
 
     def __init__(self):
         self.starts: list[Fraction] = []
@@ -98,10 +112,6 @@ class IntervalAccumulator:
         del self.starts[i:j], self.ends[i:j]
         self.starts.insert(i, a)
         self.ends.insert(i, b)
-
-    def covers(self, a: Fraction, b: Fraction) -> bool:
-        i = bisect_right(self.starts, a) - 1
-        return i >= 0 and self.ends[i] >= b
 
     def first_gap(self, a: Fraction, b: Fraction):
         """Leftmost point of [a, b] not covered, or None if fully covered."""
@@ -183,24 +193,6 @@ class ElementarySet:
         if self.d != 1:
             raise ValueError("intervals() requires d = 1")
         return [box[0] for box in self.boxes]
-
-    def inflate(self, delta: Fraction) -> "ElementarySet":
-        """Closed delta-neighborhood in the sup norm (exact union in d = 1)."""
-        delta = frac(delta)
-        if self.d == 1:
-            return ElementarySet.from_intervals([(a - delta, b + delta) for a, b in self.intervals()])
-        return ElementarySet(
-            d=self.d,
-            boxes=[tuple((lo - delta, hi + delta) for lo, hi in box) for box in self.boxes],
-        )
-
-    def contains_set(self, other: "ElementarySet") -> bool:
-        if self.d != 1 or other.d != 1:
-            raise ValueError("containment check implemented for d = 1")
-        mine = self.intervals()
-        return all(
-            any(a >= ma and b <= mb for ma, mb in mine) for a, b in other.intervals()
-        )
 
     def to_json_dict(self) -> dict:
         return {

@@ -49,11 +49,12 @@ from nullcover.covering import CoverError, greedy_piece_cover
 from nullcover.fractal import _directed_h_intervals as _directed_hausdorff_intervals
 from nullcover.elementary import (
     ElementarySet,
-    IntervalAccumulator,
+    first_gap,
     frac,
-    intervals_measure,
+    merge_int,
     merge_intervals,
 )
+from nullcover.elementary import points_plus as _covered_union
 
 
 class EngineError(ValueError):
@@ -154,6 +155,28 @@ def make_frame_denominator(points: Sequence[Fraction], family: FunctionFamily, g
     return D
 
 
+def _to_frame(values, D: int, what: str) -> np.ndarray:
+    """values * D as int64; EngineError where one is not an integer, or is
+    so large that sums of a few frame values could wrap in int64."""
+    out = []
+    for v in values:
+        x = frac(v) * D
+        if x.denominator != 1 or abs(x) >= 1 << 60:
+            raise EngineError(f"{what} {v} is not on the 1/{D} frame below 2^60")
+        out.append(x.numerator)
+    return np.array(out, dtype=np.int64)
+
+
+def _pairs(starts: np.ndarray, ends: np.ndarray) -> list[tuple[int, int]]:
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
+def _neighborhood_measure(starts: np.ndarray, ends: np.ndarray, r):
+    """Measure of the closed r-neighborhood of a nonempty merged union."""
+    gaps = (starts[1:] - ends[:-1]).tolist()
+    return int((ends - starts).sum()) + 2 * r + sum(min(g, 2 * r) for g in gaps)
+
+
 # ---------------------------------------------------------------------------
 # RRP construction
 
@@ -229,24 +252,6 @@ def middle_thirds_points(depth: int, grid_exp: Optional[int] = None) -> list[Fra
     return snapped
 
 
-def _covered_union(points_int: np.ndarray, pieces: list[tuple[int, int]]) -> IntervalAccumulator:
-    acc = IntervalAccumulator()
-    for lo, hi in pieces:
-        for p in points_int.tolist():
-            acc.add(p + lo, p + hi)
-    return acc
-
-
-def _merged_plus(points_int: np.ndarray, intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Merged union of points + intervals (all ints)."""
-    out = []
-    pts = points_int.tolist()
-    for lo, hi in intervals:
-        out.extend((p + lo, p + hi) for p in pts)
-    merged = merge_intervals([(Fraction(a), Fraction(b)) for a, b in out])
-    return [(int(a), int(b)) for a, b in merged]
-
-
 def rrp_step(
     points: Sequence[Fraction],
     family: FunctionFamily,
@@ -287,7 +292,7 @@ def rrp_step(
     threshold_ref = (108.0 / float(eps)) * math.log(max(float(c / delta_ref) * m_ref, 2.0))
     obligations = []
     for f in family.maps:
-        pts_int = np.array(sorted(int(f(p) * D) for p in window), dtype=np.int64)
+        pts_int = np.sort(_to_frame([f(p) for p in window], D, "image point"))
         lo = int(f(a) * D) + int(q_lo * D)
         obligations.append((pts_int, lo, lo + int(side * D)))
     # allowed window: the doubled cube around each target; all targets are
@@ -298,14 +303,14 @@ def rrp_step(
         obligations, piece_w=w_piece, allowed_lo=t_lo, allowed_hi=t_hi,
         budget=int(eps * side * D),
     )
-    merged = merge_intervals([(Fraction(lo, D), Fraction(hi, D)) for lo, hi in pieces])
-    T = ElementarySet.from_intervals(merged)
+    p_lo, p_hi = np.array(pieces, dtype=np.int64).reshape(-1, 2).T
+    merged = [(Fraction(lo, D), Fraction(hi, D)) for lo, hi in _pairs(*merge_int(p_lo, p_hi))]
+    T = ElementarySet(d=1, boxes=[(iv,) for iv in merged])
     if T.volume > eps * side:
         raise EngineError(f"|T| = {T.volume} exceeds eps |Q| = {eps * side}")
     # exact coverage verification for every map
-    for f, (pts_int, lo, hi) in zip(family.maps, obligations):
-        acc = _covered_union(pts_int, pieces)
-        if acc.first_gap(lo, hi) is not None:
+    for pts_int, lo, hi in obligations:
+        if first_gap(*_covered_union(pts_int, p_lo, p_hi), lo, hi) is not None:
             raise EngineError("rrp_step coverage verification failed (a bug)")
     record = {
         "window_points": n_window,
@@ -361,10 +366,10 @@ def rrp_run(
         raise EngineError("schedules shorter than depth")
     piece_w_exp = max(piece_w_schedule[:depth])
     D = make_frame_denominator(points, family, g_max=piece_w_exp)
-    all_pts = {f_idx: np.array(sorted(int(f(p) * D) for p in points), dtype=np.int64)
-               for f_idx, f in enumerate(family.maps)}
-    pts_plain = np.array(sorted(int(p * D) for p in points), dtype=np.int64)
-    pts_sorted = sorted(points)
+    r_lo_i, r_hi_i = _to_frame([r_lo, r_hi], D, "R endpoint").tolist()
+    pts_plain = _to_frame(points, D, "point")
+    # f(p) D per map, in point order; [0] is f(a0) D
+    images = [_to_frame([f(p) for p in points], D, "image point") for f in family.maps]
 
     trace = ConstructionTrace(
         kind="rrp",
@@ -380,37 +385,27 @@ def rrp_run(
         },
     )
 
-    k_cur = [(int(r_lo * D), int(r_hi * D))]  # K_0 = R in frame units
-    a_prime = [a0]
-    r_lo_i, r_hi_i = int(r_lo * D), int(r_hi * D)
+    k_cur = (np.array([r_lo_i], dtype=np.int64), np.array([r_hi_i], dtype=np.int64))  # K_0 = R
     for j in range(depth):
         w_piece = D >> piece_w_schedule[j]
         rho = int(frac(rho_schedule[j]) * D)
         budget_total = (D >> (j + 1)) // 5  # 5^-d 2^-(j+1) in frame units
-        anchors = [a0] if j == 0 else pts_sorted
-        hull_lo = min(lo for lo, _ in k_cur) - rho - w_piece
-        hull_hi = max(hi for _, hi in k_cur) + rho + w_piece
+        anchors = [0] if j == 0 else range(len(points))
+        hull_lo = int(k_cur[0][0]) - rho - w_piece
+        hull_hi = int(k_cur[1][-1]) + rho + w_piece
         obligations = []
-        for a in anchors:
-            ai = int(a * D)
-            i0 = int(np.searchsorted(pts_plain, ai - rho, side="left"))
-            i1 = int(np.searchsorted(pts_plain, ai + rho, side="right"))
+        for ai in anchors:
+            i0 = int(np.searchsorted(pts_plain, pts_plain[ai] - rho, side="left"))
+            i1 = int(np.searchsorted(pts_plain, pts_plain[ai] + rho, side="right"))
             if i1 <= i0:
                 continue
-            for f_idx, f in enumerate(family.maps):
-                w_pts = np.array(
-                    sorted(int(f(p) * D) for p in pts_sorted[i0:i1]), dtype=np.int64
-                )
-                fa = int(f(a) * D)
-                flo = int(f(a0) * D) + r_lo_i
-                fhi = int(f(a0) * D) + r_hi_i
-                targets = []
-                for lo, hi in k_cur:
-                    lo2, hi2 = max(fa + lo, flo), min(fa + hi, fhi)
-                    if hi2 > lo2:
-                        targets.append((lo2, hi2))
-                if targets:
-                    obligations.append((w_pts, targets))
+            for img in images:
+                fa = int(img[ai])
+                lo2 = np.maximum(fa + k_cur[0], img[0] + r_lo_i)
+                hi2 = np.minimum(fa + k_cur[1], img[0] + r_hi_i)
+                keep = hi2 > lo2
+                if keep.any():
+                    obligations.append((np.sort(img[i0:i1]), np.stack((lo2[keep], hi2[keep]), 1)))
         if not obligations:
             raise EngineError(f"step {j}: no coverage obligations (empty windows)")
         pieces_all = greedy_piece_cover(
@@ -421,8 +416,8 @@ def rrp_run(
         delta_p = Fraction(rho, D)
         m_ref = family_covering_number(family, delta_p / family.bilipschitz_c)
         window_count = int(
-            np.searchsorted(pts_plain, int(a0 * D) + rho)
-            - np.searchsorted(pts_plain, int(a0 * D) - rho)
+            np.searchsorted(pts_plain, pts_plain[0] + rho)
+            - np.searchsorted(pts_plain, pts_plain[0] - rho)
         )
         threshold_reports = [
             {
@@ -431,48 +426,42 @@ def rrp_run(
                 "threshold_ref_108": 2 * 108.0 * math.log(max(float(1 / delta_p) * m_ref, 2.0)),
             }
         ]
-        merged = merge_intervals([(Fraction(lo, D), Fraction(hi, D)) for lo, hi in pieces_all])
-        k_next = [(int(lo * D), int(hi * D)) for lo, hi in merged]
-        vol_next = intervals_measure(merged)
+        p_lo, p_hi = np.array(pieces_all, dtype=np.int64).reshape(-1, 2).T
+        k_next = merge_int(p_lo, p_hi)
+        vol_next = Fraction(int((k_next[1] - k_next[0]).sum()), D)
         # delta_j is defined only now that K_{j+1} is known (the induction
         # fixes each delta one step late): the smallest
         # dyadic 2^-t bounding the one-sided Hausdorff excess of K_{j+1}
         # over K_j, required to stay within 2^-j
-        prev_frac = [(Fraction(lo, D), Fraction(hi, D)) for lo, hi in k_cur]
-        excess = _directed_hausdorff_intervals(merged, prev_frac)
+        excess = _directed_hausdorff_intervals(_pairs(*k_next), _pairs(*k_cur)) / D
         delta_j = Fraction(1, 1 << j)
         while delta_j / 2 >= excess and delta_j / 2 >= Fraction(1, 1 << piece_w_exp):
             delta_j /= 2
         if excess > Fraction(1, 1 << j):
             raise EngineError(f"step {j}: K_{j+1} wanders {excess} > 2^-{j} from K_{j}")
         # ---- invariant checks, all exact ----
-        # (a): K_{j+1} inside the delta_j-neighborhood of K_j
-        infl = merge_intervals([(lo - delta_j, hi + delta_j) for lo, hi in prev_frac])
-        check_a = all(
-            any(ilo <= lo and hi <= ihi for ilo, ihi in infl) for lo, hi in merged
-        )
+        # (a): K_{j+1} inside the closed delta_j-neighborhood of K_j, i.e. its
+        # excess over K_j is at most delta_j
+        check_a = excess <= delta_j
         # (b) first part for j+1
         check_b_vol = vol_next <= Fraction(1, 5 * (1 << (j + 1)))
         # (b) second part for j (verified now that delta_j is fixed); the seed
         # rectangle K_0 = R cannot satisfy it, so like the measure part it is
         # a j >= 1 claim
-        nbhd = merge_intervals([(lo - 2 * delta_j, hi + 2 * delta_j) for lo, hi in prev_frac])
-        prev_nbhd_vol = intervals_measure(nbhd)
+        prev_nbhd_vol = Fraction(_neighborhood_measure(*k_cur, 2 * delta_j * D), D)
         check_b_nbhd = prev_nbhd_vol <= Fraction(1, 1 << j) if j >= 1 else True
         # halving bookkeeping: the proof's mechanism, reported but not
         # required (the construction meets the (b) volume bound directly;
         # see the step-budget note in the module docstring)
-        vol_prev = intervals_measure(prev_frac)
+        vol_prev = Fraction(int((k_cur[1] - k_cur[0]).sum()), D)
         halving_observed = vol_next <= vol_prev / 2
-        # (c): every map covers f(a0) + R from the full point set
-        check_c = True
-        for f_idx, f in enumerate(family.maps):
-            acc = _covered_union(all_pts[f_idx], k_next)
-            flo = int(f(a0) * D) + r_lo_i
-            fhi = int(f(a0) * D) + r_hi_i
-            # coverage demanded on [0,1] inside f(a0)+R, i.e. the full R target
-            if acc.first_gap(flo, fhi) is not None:
-                check_c = False
+        # (c): every map covers f(a0) + R, the full target, from the full
+        # point set
+        check_c = all(
+            first_gap(*_covered_union(img, *k_next), int(img[0]) + r_lo_i, int(img[0]) + r_hi_i)
+            is None
+            for img in images
+        )
         checks = {
             "check_a_nested": bool(check_a),
             "check_b_volume": bool(check_b_vol),
@@ -491,59 +480,74 @@ def rrp_run(
                 g=piece_w_schedule[j],
                 delta=delta_j,
                 piece_w_exp=piece_w_schedule[j],
-                k_intervals=merged,
+                k_intervals=[(Fraction(lo, D), Fraction(hi, D)) for lo, hi in _pairs(*k_next)],
                 volume=vol_next,
                 checks=checks,
             )
         )
         k_cur = k_next
-        a_prime = points  # all points available as witnesses from step 1 on
     # Delta_j <= 2 delta_j on the realized schedule
     deltas = [s.delta for s in trace.steps]
-    for j in range(depth):
-        tail = sum(deltas[j:], Fraction(0))
-        if tail > 2 * deltas[j]:
-            raise EngineError(f"Delta_{j} = {tail} exceeds 2 delta_{j} on the realized schedule")
+    if not _delta_tail_ok(deltas):
+        raise EngineError(f"Delta_j exceeds 2 delta_j on the realized schedule {deltas}")
     trace.meta["delta_schedule"] = [str(dv) for dv in deltas]
     trace.meta["delta_tail_ok"] = True
     return trace
 
 
+def _delta_tail_ok(deltas: list[Fraction]) -> bool:
+    """Delta_j = sum_{i >= j} delta_i <= 2 delta_j for every j."""
+    return all(sum(deltas[j:], Fraction(0)) <= 2 * deltas[j] for j in range(len(deltas)))
+
+
 def verify_rrp_trace(data: dict) -> dict:
-    """Re-validate a serialized rrp trace from the stored sets alone."""
-    family = FunctionFamily.from_json_dict(data["meta"]["family"])
-    points = [Fraction(p) for p in data["meta"]["points"]]
-    a0 = Fraction(data["meta"]["a0"])
-    r_lo, r_hi = Fraction(data["meta"]["R"][0]), Fraction(data["meta"]["R"][1])
-    D = int(data["meta"]["frame_denominator"])
-    all_pts = {
-        f_idx: np.array(sorted(int(f(p) * D) for p in points), dtype=np.int64)
-        for f_idx, f in enumerate(family.maps)
-    }
-    prev = [(int(r_lo * D), int(r_hi * D))]
-    results = {"steps": [], "passed": True}
-    for step in data["steps"]:
+    """Re-validate a serialized rrp trace from the stored sets alone.
+
+    Every inequality is recomputed on the integer frame of the stored
+    denominator D: per step record j, the volume (stored value and bound
+    1/(5 2^j)), delta_j <= 2^-(j-1), the nesting of K_j in the
+    delta-neighborhood of K_{j-1}, for j >= 2 the neighborhood bound
+    |K_{j-1}^(2 delta)| <= 2^-(j-1), and coverage of f(a0) + R, which must
+    hold [0, 1], for every map; over all records the Delta-tail.  A point,
+    image or endpoint off the 1/D frame raises EngineError.
+    """
+    meta = data["meta"]
+    family = FunctionFamily.from_json_dict(meta["family"])
+    points = [Fraction(p) for p in meta["points"]]
+    a0 = Fraction(meta["a0"])
+    D = int(meta["frame_denominator"])
+    r_lo, r_hi = _to_frame([Fraction(x) for x in meta["R"]], D, "R endpoint").tolist()
+    images = [_to_frame([f(p) for p in points], D, "image point") for f in family.maps]
+    fa0 = _to_frame([f(a0) for f in family.maps], D, "image of a0").tolist()
+    target_ok = all(fa + r_lo <= 0 and fa + r_hi >= D for fa in fa0)
+    prev = (np.array([r_lo], dtype=np.int64), np.array([r_hi], dtype=np.int64))
+    steps, deltas = [], []
+    for n, step in enumerate(data["steps"], start=1):
         j = int(step["j"])
+        if j != n:
+            raise EngineError(f"step record {n} is numbered {j}")
         delta = Fraction(step["delta"])
-        cur = [(Fraction(a), Fraction(b)) for a, b in step["k_intervals"]]
-        cur_int = [(int(a * D), int(b * D)) for a, b in cur]
-        vol = intervals_measure(cur)
+        ends = _to_frame([x for lo, hi in step["k_intervals"] for x in (lo, hi)], D, "K endpoint")
+        cur = merge_int(ends[0::2], ends[1::2])
+        if cur[0].size == 0:
+            raise EngineError(f"K_{j} is empty")
+        vol = Fraction(int((cur[1] - cur[0]).sum()), D)
         ok_vol = vol == Fraction(step["volume"]) and vol <= Fraction(1, 5 * (1 << j))
-        infl = merge_intervals(
-            [(Fraction(lo, D) - delta, Fraction(hi, D) + delta) for lo, hi in prev]
+        ok_delta = 0 <= delta <= Fraction(1, 1 << (j - 1))
+        ok_a = _directed_hausdorff_intervals(_pairs(*cur), _pairs(*prev)) / D <= delta
+        nbhd = Fraction(_neighborhood_measure(*prev, 2 * delta * D), D)
+        ok_b = j < 2 or nbhd <= Fraction(1, 1 << (j - 1))
+        ok_c = all(
+            first_gap(*_covered_union(img, *cur), fa + r_lo, fa + r_hi) is None
+            for img, fa in zip(images, fa0)
         )
-        ok_a = all(any(ilo <= lo and hi <= ihi for ilo, ihi in infl) for lo, hi in cur)
-        ok_c = True
-        for f_idx, f in enumerate(family.maps):
-            acc = _covered_union(all_pts[f_idx], cur_int)
-            flo, fhi = int(f(a0) * D) + int(r_lo * D), int(f(a0) * D) + int(r_hi * D)
-            if acc.first_gap(flo, fhi) is not None:
-                ok_c = False
-        ok = ok_vol and ok_a and ok_c
-        results["steps"].append({"j": j, "volume_ok": ok_vol, "nested_ok": ok_a, "coverage_ok": ok_c})
-        results["passed"] = results["passed"] and ok
-        prev = cur_int
-    return results
+        steps.append({"j": j, "volume_ok": ok_vol, "delta_ok": ok_delta, "nested_ok": ok_a,
+                      "neighborhood_ok": ok_b, "coverage_ok": ok_c})
+        deltas.append(delta)
+        prev = cur
+    tail_ok = _delta_tail_ok(deltas)
+    passed = target_ok and tail_ok and all(all(v for k, v in s.items() if k != "j") for s in steps)
+    return {"steps": steps, "target_ok": target_ok, "delta_tail_ok": tail_ok, "passed": passed}
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ by dyadic cubes, computed bottom-up on the occupied cube tree.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -462,29 +463,39 @@ class IntervalUnion(list):
 
 
 def _directed_h_intervals(U, V) -> Fraction:
-    """sup over x in U of dist(x, V); candidates are endpoints of U and the
-    gap midpoints of V clipped into U."""
-    U = [(frac(a), frac(b)) for a, b in sorted(U)]
-    V = [(frac(a), frac(b)) for a, b in sorted(V)]
+    """sup over x in U of dist(x, V) for finite unions of closed intervals.
 
-    def dist_to_v(x):
-        best = None
-        for a, b in V:
-            dd = Fraction(0) if a <= x <= b else min(abs(x - a), abs(x - b))
-            if best is None or dd < best:
-                best = dd
-        return best
+    On U, dist(., V) peaks at an endpoint of U or at the midpoint of a gap of
+    V inside U.  With both unions merged and the gap midpoints sorted, each
+    candidate is found and measured by bisection: O((U + V) log V).
+    """
+    U, V = _closed_union(U), _closed_union(V)
+    starts = [a for a, _ in V]
+    mids = [(b1 + a2) / 2 for (_, b1), (a2, _) in zip(V, V[1:])]
 
-    candidates = []
-    for a, b in U:
-        candidates.extend([a, b])
-    for (a1, b1), (a2, b2) in zip(V, V[1:]):
-        mid = (b1 + a2) / 2
-        for a, b in U:
-            if a <= mid <= b:
-                candidates.append(mid)
-    # also V may end before U starts etc.; endpoints already cover that
-    return max(dist_to_v(x) for x in candidates)
+    def dist(x):
+        i = bisect_right(starts, x)  # V[i - 1] is the last to start at or before x
+        d = [x - V[i - 1][1]] if i else []
+        if i < len(V):
+            d.append(V[i][0] - x)
+        return max(Fraction(0), min(d))
+
+    return max(
+        dist(x)
+        for a, b in U
+        for x in [a, b, *mids[bisect_left(mids, a):bisect_right(mids, b)]]
+    )
+
+
+def _closed_union(K) -> list[tuple[Fraction, Fraction]]:
+    """Sorted disjoint union of closed intervals, single points kept."""
+    out: list[tuple[Fraction, Fraction]] = []
+    for a, b in sorted((frac(a), frac(b)) for a, b in K):
+        if out and a <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], b))
+        else:
+            out.append((a, b))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ pass/fail line each.
 
 Criterion 3 appears twice.  The always-true bias-to-sumset bound
 1 + ||B||_u^2 |G|^3 / (|A| |B|^2) is asserted with zero violations (3a).
-3b checks the headline constant over the same samples.  It asserts the
+3b checks the headline constant over the same samples, which one
+module-scoped fixture draws once for both.  It asserts the
 eta-only bound 1 + (k q/(q-1))^2/|A| that the parameter chain proves
 (||B||_u^2 q < 1 and |B*| = (q-1)/k with k <= 2/eta), with zero violations,
 and it asserts that the stated constant 1 + 1/(4 eta^2 |A|) is refuted: at
@@ -199,20 +200,29 @@ def _coverage_ratios_small(comp):
     return out
 
 
-def test_criterion_03a_sizes_and_lemma_bound():
-    """|B*| <= eta m^d exactly; the rigorous lemma bound never violated."""
-    t0 = time.time()
-    violations = 0
-    cells = 0
+@pytest.fixture(scope="module")
+def criterion3_samples():
+    """(params, comp, samples) per criterion-3 cell, drawn once for 3a and 3b."""
+    out = []
     for params in _criterion3_cells():
         comp = build_bias_complement(params, cap=1 << 20)
-        assert comp.size <= params.eta * params.q  # exact Fraction comparison
-        k_b = float(comp.lemma_constant)
         samples = _coverage_ratios_random(comp, 1000, seed=params.q * 7 + params.k)
         if params.q <= 256:
             samples += _coverage_ratios_small(comp)
         if params.q <= 16:
             samples += _exhaustive_ratios(comp)
+        out.append((params, comp, samples))
+    return out
+
+
+def test_criterion_03a_sizes_and_lemma_bound(criterion3_samples):
+    """|B*| <= eta m^d exactly; the rigorous lemma bound never violated."""
+    t0 = time.time()
+    violations = 0
+    cells = 0
+    for params, comp, samples in criterion3_samples:
+        assert comp.size <= params.eta * params.q  # exact Fraction comparison
+        k_b = float(comp.lemma_constant)
         for ratio, size_a in samples:
             if ratio > 1 + k_b / size_a + 1e-9:
                 violations += 1
@@ -238,7 +248,7 @@ def _exhaustive_ratios(comp):
     return [(order / int(s), int(a)) for s, a in zip(sums, sizes)]
 
 
-def test_criterion_03b_headline_bound_as_stated():
+def test_criterion_03b_headline_bound_as_stated(criterion3_samples):
     """On 3a's samples the chain bound holds and the stated constant is refuted.
 
     Every sample satisfies ratio <= 1 + (k q/(q-1))^2/|A|, the bound that
@@ -250,16 +260,10 @@ def test_criterion_03b_headline_bound_as_stated():
     """
     chain_violations = 0
     violations = []
-    for params in _criterion3_cells():
-        comp = build_bias_complement(params, cap=1 << 20)
+    for params, comp, samples in criterion3_samples:
         eta = params.eta
         chain = Fraction(params.k * params.q, params.q - 1) ** 2
         assert comp.lemma_constant < chain  # exact: ||B||_u^2 q < 1, |B| = (q-1)/k
-        samples = _coverage_ratios_random(comp, 1000, seed=params.q * 7 + params.k)
-        if params.q <= 256:
-            samples += _coverage_ratios_small(comp)
-        if params.q <= 16:
-            samples += _exhaustive_ratios(comp)
         for ratio, size_a in samples:
             if ratio > float(1 + chain / size_a) + 1e-9:
                 chain_violations += 1

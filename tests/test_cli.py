@@ -1,7 +1,10 @@
 """CLI: subcommands, exit codes, reproducibility of artifacts."""
 
+import copy
 import json
 import math
+import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +83,18 @@ class TestCover:
         run(capsys, "cover", "--family", str(fam), "--eps", "1/2", "--seed", "7", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_out_file_mode_follows_umask(self, capsys, tmp_path):
+        fam = self._family_file(tmp_path)
+        out = tmp_path / "cover.json"
+        old = os.umask(0o027)
+        try:
+            code, _, _ = run(capsys, "cover", "--family", str(fam), "--eps", "1/2",
+                             "--seed", "7", "--out", str(out))
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert out.stat().st_mode & 0o777 == 0o640
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "cover", "--family", "/nonexistent.json", "--eps", "1/2", "--seed", "1")
         assert code == 2
@@ -135,3 +150,47 @@ class TestTraces:
         path.write_text(json.dumps({"kind": "mystery"}))
         code, _, _ = run(capsys, "verify", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("rrp", "--cantor-depth", "4", "--grid-exp", "8", "--depth", "2", "--maps", "2"),
+        ("full-measure", "--depth", "4"),
+    ])
+    def test_construction_failure_exit_1(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("certificate failure: ")
+
+
+@pytest.fixture(scope="module")
+def rrp_trace_data(tmp_path_factory):
+    path = tmp_path_factory.mktemp("rrp") / "trace.json"
+    assert main(["rrp", "--depth", "2", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _corner(data):
+    iv = data["steps"][1]["k_intervals"][0]
+    iv[1] = str(Fraction(iv[1]) - Fraction(1, data["meta"]["frame_denominator"]))
+
+
+def _volume(data):
+    step = data["steps"][0]
+    step["volume"] = str(Fraction(step["volume"]) + Fraction(1, data["meta"]["frame_denominator"]))
+
+
+def _delta(data):
+    data["steps"][1]["delta"] = "1"  # the record-2 bound is 2^-1
+
+
+def _frame(data):
+    data["meta"]["frame_denominator"] += 1
+
+
+@pytest.mark.parametrize("mutate", [_corner, _volume, _delta, _frame])
+def test_rrp_single_tamper_fails_verify(capsys, tmp_path, rrp_trace_data, mutate):
+    data = copy.deepcopy(rrp_trace_data)
+    mutate(data)
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(data))
+    code, _, _ = run(capsys, "verify", str(path))
+    assert code == 1

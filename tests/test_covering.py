@@ -20,7 +20,15 @@ from nullcover.covering import (
     size_threshold,
     lift_cover_to_box,
 )
-from nullcover.elementary import ElementarySet, IntervalAccumulator, merge_intervals, intervals_measure
+from nullcover.elementary import (
+    ElementarySet,
+    IntervalAccumulator,
+    covered_measure,
+    first_gap,
+    merge_int,
+    merge_intervals,
+    points_plus,
+)
 from nullcover.groups import GroupSubset, sumset
 
 
@@ -28,7 +36,7 @@ class TestIntervals:
     def test_merge(self):
         got = merge_intervals([(Fraction(1), Fraction(2)), (Fraction(0), Fraction(1)), (Fraction(3), Fraction(4))])
         assert got == [(0, 2), (3, 4)]
-        assert intervals_measure(got) == 3
+        assert sum(b - a for a, b in got) == 3
 
     def test_accumulator_first_gap(self):
         acc = IntervalAccumulator()
@@ -38,6 +46,11 @@ class TestIntervals:
         acc.add(Fraction(1), Fraction(2))
         assert acc.first_gap(Fraction(0), Fraction(3)) is None
         assert acc.measure() == 3
+        # the int64 kernel drops empty intervals and answers on an empty union
+        starts, ends = merge_int([3, 0, 5], [3, 2, 4])
+        assert (starts.tolist(), ends.tolist()) == ([0], [2])
+        empty = merge_int([], [])
+        assert first_gap(*empty, 0, 3) == 0 and covered_measure(*empty, 0, 3) == 0
 
     def test_accumulator_random_against_oracle(self):
         rng = np.random.default_rng(2)
@@ -50,6 +63,25 @@ class TestIntervals:
                 acc.add(a, b)
                 ivs.append((a, b))
             assert acc.intervals() == merge_intervals(ivs)
+            # the int64 kernel on the same intervals, against the accumulator
+            lo, hi = np.array(ivs, dtype=np.int64).T
+            starts, ends = merge_int(lo, hi)
+            assert list(zip(starts.tolist(), ends.tolist())) == acc.intervals()
+            qa = rng.integers(-5, 110, 20)
+            qb = qa + rng.integers(0, 30, 20)
+            assert covered_measure(starts, ends, qa, qb).tolist() == [
+                acc.covered_measure(int(a), int(b)) for a, b in zip(qa, qb)
+            ]
+            for a, b in zip(qa.tolist(), qb.tolist()):
+                assert first_gap(starts, ends, a, b) == acc.first_gap(a, b)
+            # points + intervals, merged
+            pts = np.sort(rng.integers(0, 50, 4))
+            ref = IntervalAccumulator()
+            for p in pts.tolist():
+                for a, b in ivs:
+                    ref.add(p + a, p + b)
+            starts, ends = points_plus(pts, lo, hi)
+            assert list(zip(starts.tolist(), ends.tolist())) == ref.intervals()
 
     def test_elementary_from_cells(self):
         es = ElementarySet.from_cells(1, [(0,), (1,), (4,)], 3)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nullcover.elementary import merge_intervals
 from nullcover.engine import (
     AffineMap,
     ConstructionTrace,
@@ -155,6 +156,38 @@ class TestRRPRun:
         assert verify_rrp_trace(data)["passed"]
         data["steps"][1]["k_intervals"] = data["steps"][1]["k_intervals"][:-5]
         assert not verify_rrp_trace(data)["passed"]
+
+    def test_verify_rechecks_delta_and_frame(self):
+        trace = rrp_run(criterion_points(), criterion_family(), depth=2,
+                        rho_schedule=[Fraction(1), Fraction(1, 1 << 10)],
+                        piece_w_schedule=[12, 12])
+        data = json.loads(json.dumps(trace.to_json_dict()))
+        assert trace.meta["delta_schedule"] == ["1/16", "1/2048"]
+        # the recorded (b) volumes, against merging the inflated intervals
+        prev = [tuple(Fraction(x) for x in trace.meta["R"])]
+        for step in trace.steps:
+            r = 2 * step.delta
+            nbhd = merge_intervals([(lo - r, hi + r) for lo, hi in prev])
+            assert Fraction(step.checks["neighborhood_volume_prev"]) == sum(b - a for a, b in nbhd)
+            prev = step.k_intervals
+
+        def tampered(step, delta):
+            t = json.loads(json.dumps(data))
+            t["steps"][step]["delta"] = delta
+            res = verify_rrp_trace(t)
+            assert not res["passed"]
+            return res
+
+        # each single delta mutation trips exactly the check it should
+        assert tampered(1, "1")["steps"][1]["delta_ok"] is False  # above 2^-1
+        res = tampered(1, "1/64")  # |K_1^(2 delta)| > 2^-1, tail still fine
+        assert res["steps"][1]["neighborhood_ok"] is False and res["delta_tail_ok"]
+        assert tampered(1, "1/4")["delta_tail_ok"] is False  # 1/16 + 1/4 > 2/16
+        assert tampered(0, "1/2048")["steps"][0]["nested_ok"] is False
+        # a frame that does not hold the points exactly is refused, not floored
+        data["meta"]["frame_denominator"] += 1
+        with pytest.raises(EngineError, match="not on the 1/1048577 frame"):
+            verify_rrp_trace(data)
 
     def test_coverage_is_real(self):
         # independent oracle: pixel mask of f(A') + K_J covers f(a0) + R

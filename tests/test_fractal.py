@@ -21,6 +21,7 @@ from nullcover.fractal import (
     packing_number_exhaustive,
     packing_number_greedy,
     uniform_large_subset,
+    _directed_h_intervals,
 )
 
 MIDDLE_THIRDS = {"kind": "digits", "base": 3, "digits": [0, 2]}
@@ -248,6 +249,24 @@ class TestHausdorffDistance:
         V = IntervalUnion([(Fraction(0), Fraction(1, 32)), (Fraction(3, 32), Fraction(4, 32))])
         # directed U -> V attains at the gap midpoint 1/16
         assert hausdorff_distance(U, V) == Fraction(1, 32)
+
+        # seeded unions, with overlapping, nested and one-point intervals,
+        # against brute force: with integer endpoints the sup of dist(., V)
+        # over U is attained on the half-integer grid
+        def directed(A, B):
+            xs = [Fraction(k, 2) for a, b in A for k in range(2 * a, 2 * b + 1)]
+            return max(min(max(a - x, x - b, 0) for a, b in B) for x in xs)
+
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            U, V = (
+                IntervalUnion(zip(lo.tolist(), (lo + rng.integers(0, 12, n)).tolist()))
+                for n in rng.integers(1, 8, 2)
+                for lo in [rng.integers(0, 60, n)]
+            )
+            assert hausdorff_distance(U, V) == max(directed(U, V), directed(V, U))
+        # an interval nested in V must not hide the gap (10, 20) behind it
+        assert _directed_h_intervals([(12, 18)], [(0, 10), (1, 2), (20, 30)]) == 5
 
     def test_empty_error(self):
         with pytest.raises(FractalError):
