@@ -16,6 +16,7 @@ from nullcover.groups import (
     convolve,
     linear_bias,
     sumset,
+    sumset_counts,
     sumset_cover_report,
 )
 from nullcover.gf import (

@@ -40,7 +40,7 @@ from nullcover.gf import (
     kth_power_codes,
     make_field,
 )
-from nullcover.groups import FiniteAbelianGroup, GroupSubset, linear_bias, sumset
+from nullcover.groups import FiniteAbelianGroup, GroupSubset, linear_bias, sumset, sumset_counts
 
 
 class ParameterError(ValueError):
@@ -436,18 +436,10 @@ class PatchTemplate:
 
     def cyclic_uncovered(self, a_cells: np.ndarray) -> int:
         """Exact count of residues of Z_m not covered by a_cells + prop_cells."""
-        m = self.m
-        covered = np.zeros(m, dtype=bool)
-        a = np.asarray(a_cells, dtype=np.int64)
-        if a.size > self.prop_cells.size:
-            small, big = self.prop_cells, a
-        else:
-            small, big = a, self.prop_cells
-        big_mask = np.zeros(m, dtype=bool)
-        big_mask[big % m] = True
-        for v in small:
-            covered |= np.roll(big_mask, int(v))
-        return int(m - covered.sum())
+        a, b = np.zeros((2, self.m), dtype=bool)
+        a[np.asarray(a_cells, dtype=np.int64) % self.m] = True
+        b[self.prop_cells] = True
+        return int(self.m - np.count_nonzero(sumset_counts(a, b)))
 
     def certificate(self) -> dict:
         return {

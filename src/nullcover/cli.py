@@ -33,6 +33,33 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
+
+
+class UsageError(Exception):
+    pass
+
+
+def _load(path: str, cls):
+    """cls.from_json_dict of a JSON file; a file that does not fit is a usage error."""
+    with open(path) as fh:
+        data = json.load(fh)
+    try:
+        return cls.from_json_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"{path} is not a {cls.__name__} file: {exc!r}") from exc
+
+
 def _write_atomic(path: str, payload: str):
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".nullcover-")
@@ -94,8 +121,7 @@ def _cmd_cover(args) -> int:
         random_cover_complement,
     )
 
-    with open(args.family) as fh:
-        family = SetFamily.from_json_dict(json.load(fh))
+    family = _load(args.family, SetFamily)
     try:
         if family.kind == "grid":
             if args.N is not None and args.N != family.N:
@@ -131,11 +157,9 @@ def _cmd_dimension(args) -> int:
 
     try:
         if args.set:
-            with open(args.set) as fh:
-                cube = DyadicCubeSet.from_json_dict(json.load(fh))
+            cube = _load(args.set, DyadicCubeSet)
         else:
-            digits = [int(x) for x in args.digits.split(",")]
-            cube = generate_cantor({"kind": "digits", "base": args.base, "digits": digits}, args.depth)
+            cube = generate_cantor({"kind": "digits", "base": args.base, "digits": args.digits}, args.depth)
         est = log_dimension_estimate(cube, variant=args.variant)
     except FractalError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -227,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("dimension", help="logarithmic dimension estimate")
     sp.add_argument("--set", help="DyadicCubeSet JSON file")
     sp.add_argument("--base", type=int, default=3)
-    sp.add_argument("--digits", default="0,2")
+    sp.add_argument("--digits", type=_int_list, default="0,2")
     sp.add_argument("--depth", type=int, default=6)
     sp.add_argument("--variant", choices=("H", "P"), default="H")
     sp.add_argument("--out")
@@ -235,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_dimension)
 
     sp = sub.add_parser("rrp", help="recursive-rectangles construction")
-    sp.add_argument("--depth", type=int, default=3)
-    sp.add_argument("--maps", type=int, default=8)
+    sp.add_argument("--depth", type=_positive_int, default=3)
+    sp.add_argument("--maps", type=_positive_int, default=8)
     sp.add_argument("--cantor-depth", type=int, default=7)
     sp.add_argument("--grid-exp", type=int, default=12)
     sp.add_argument("--out")
@@ -264,7 +288,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

@@ -37,7 +37,7 @@ from nullcover.elementary import (
     merge_int,
     points_plus,
 )
-from nullcover.groups import FiniteAbelianGroup, GroupSubset
+from nullcover.groups import FiniteAbelianGroup, GroupSubset, sumset_counts
 
 
 class CoverError(ValueError):
@@ -136,15 +136,6 @@ def _uniform_subset(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
     return np.sort(idx[:size])
 
 
-def _cyclic_covers_all(member_mask: np.ndarray, b_mask: np.ndarray) -> bool:
-    """A + B = Z_N^d, exactly, via FFT counts (integer, rounded)."""
-    axes = tuple(range(member_mask.ndim))
-    fa = np.fft.rfftn(member_mask.astype(np.float64))
-    fb = np.fft.rfftn(b_mask.astype(np.float64))
-    counts = np.fft.irfftn(fa * fb, s=member_mask.shape, axes=axes)
-    return bool(np.rint(counts).min() >= 1)
-
-
 @dataclass
 class RandomCoverCertificate:
     seed: int
@@ -194,7 +185,7 @@ def random_cover_complement(
         b_mask = np.zeros(n_total, dtype=bool)
         b_mask[flat] = True
         b_nd = b_mask.reshape(shape)
-        if all(_cyclic_covers_all(mm, b_nd) for mm in member_masks):
+        if all(sumset_counts(mm, b_nd).min() >= 1 for mm in member_masks):
             cert = RandomCoverCertificate(
                 seed=seed,
                 eps=str(eps),
@@ -270,21 +261,17 @@ def pixel_cover_mask(
         return out
     a_lo = member_hcells.min(axis=0)
     b_lo = b_hcells.min(axis=0)
-    a_shape = tuple(member_hcells.max(axis=0) - a_lo + 1)
-    b_shape = tuple(b_hcells.max(axis=0) - b_lo + 1)
-    a_mask = np.zeros(a_shape, dtype=bool)
-    a_mask[tuple((member_hcells - a_lo).T)] = True
-    b_mask = np.zeros(b_shape, dtype=bool)
-    b_mask[tuple((b_hcells - b_lo).T)] = True
+    a_idx, b_idx = member_hcells - a_lo, b_hcells - b_lo
+    # zero-padded to the linear-convolution shape: cyclic sums never wrap
+    full = tuple(int(x) for x in a_idx.max(axis=0) + b_idx.max(axis=0) + 1)
+    a_mask = np.zeros(full, dtype=bool)
+    a_mask[tuple(a_idx.T)] = True
+    b_mask = np.zeros(full, dtype=bool)
+    b_mask[tuple(b_idx.T)] = True
     b_er = _erode_mask(b_mask)
     if not b_er.any():
         return out
-    full = tuple(int(x) for x in np.array(a_shape) + np.array(b_shape) - 1)
-    axes = tuple(range(d))
-    fa = np.fft.rfftn(a_mask.astype(np.float64), s=full, axes=axes)
-    fb = np.fft.rfftn(b_er.astype(np.float64), s=full, axes=axes)
-    counts = np.fft.irfftn(fa * fb, s=full, axes=axes)
-    covered = np.rint(counts) >= 1  # index p relative to a_lo + b_lo, p = j + t
+    covered = sumset_counts(a_mask, b_er) >= 1  # index p relative to a_lo + b_lo, p = j + t
     # pixel p is robustly covered when p = j + t + 1 per axis (t interior start)
     base = a_lo + b_lo + 1
     src_lo = np.maximum(window_lo - base, 0)

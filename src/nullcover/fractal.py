@@ -238,6 +238,9 @@ def generate_cantor(rule: dict, depth: int, max_cells: int = 1 << 22) -> DyadicC
             digits = [digits]
         if any(len(ds) == 0 for ds in digits):
             raise FractalError("empty digit set")
+        if base < 2 or depth < 0 or any(not 0 <= dig < base for ds in digits for dig in ds):
+            raise FractalError(f"need base >= 2, depth >= 0 and digits in [0, base): "
+                               f"base {base}, depth {depth}, digits {digits}")
         d = len(digits)
         n_boxes = 1
         for ds in digits:

@@ -48,6 +48,7 @@ from nullcover.groups import (
     convolve,
     dft,
     linear_bias,
+    sumset_counts,
 )
 
 
@@ -171,29 +172,26 @@ def _coverage_ratios_random(comp, n_draws: int, seed: int):
     order = g.order
     moduli = g.moduli
     rng = np.random.default_rng(seed)
-    fb = np.fft.rfftn(comp.subset.mask.reshape(moduli).astype(float))
+    b = comp.subset.mask.reshape(moduli)
     out = []
     while len(out) < n_draws:
         ma = rng.random(order) < 0.5
         if not ma.any():
             continue
-        fa = np.fft.rfftn(ma.reshape(moduli).astype(float))
-        counts = np.rint(np.fft.irfftn(fa * fb, s=moduli, axes=range(len(moduli))))
-        out.append((order / int((counts >= 1).sum()), int(ma.sum())))
+        counts = sumset_counts(ma.reshape(moduli), b)
+        out.append((order / int(np.count_nonzero(counts)), int(ma.sum())))
     return out
 
 
 def _coverage_ratios_small(comp):
     """All singleton and pair ratios (exhaustive over translation classes)."""
     g = comp.subset.group
+    assert g.is_elementary_2  # B = -B, so the autocorrelation is B's sum count
     order = g.order
-    moduli = g.moduli
-    b = comp.subset.mask.reshape(moduli).astype(float)
-    fb = np.fft.rfftn(b)
-    auto = np.rint(np.fft.irfftn(fb * np.conj(fb), s=moduli, axes=range(len(moduli))))
+    b = comp.subset.mask.reshape(g.moduli)
     size_b = int(comp.subset.mask.sum())
     out = [(order / size_b, 1)]
-    inter = auto.reshape(-1)  # |B ∩ (B+c)| for every difference c
+    inter = sumset_counts(b, b).reshape(-1)  # |B ∩ (B+c)| for every difference c
     union = 2 * size_b - inter[1:]
     for u in union:
         out.append((order / float(u), 2))

@@ -265,14 +265,14 @@ class TestPatchTemplate:
         tpl = build_patch_template(Fraction(1, 2), Fraction(1, 4), wraps=(-1, 0, 1), min_m=64)
         m = tpl.m
         rng = np.random.default_rng(5)
-        a_cells = np.flatnonzero(rng.random(m) < 0.5)
-        u = tpl.cyclic_uncovered(a_cells)
-        # brute-force oracle
-        covered = set()
-        for a in a_cells:
-            for b in tpl.prop_cells:
-                covered.add((int(a) + int(b)) % m)
-        assert u == m - len(covered)
+        for a_cells in (np.flatnonzero(rng.random(m) < 0.5), rng.choice(m, 3, replace=False), [m - 1]):
+            u = tpl.cyclic_uncovered(np.asarray(a_cells))
+            # brute-force oracle
+            covered = set()
+            for a in a_cells:
+                for b in tpl.prop_cells:
+                    covered.add((int(a) + int(b)) % m)
+            assert u == m - len(covered)
 
     def test_threshold_guarantee(self):
         # any A meeting the operative threshold leaves at most eps*m uncovered

@@ -119,6 +119,21 @@ class TestDimension:
         assert abs(est["value"] - 1.0) < 0.1
 
 
+@pytest.mark.parametrize("argv", [
+    ("dimension", "--digits", "a,b"),
+    ("cover", "--family", "{empty}", "--eps", "1/2", "--seed", "1"),
+    ("dimension", "--set", "{empty}"),
+    ("rrp", "--depth", "0"),
+])
+def test_usage_error_exit_2(capsys, tmp_path, argv):
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+    code, _, err = run(capsys, *(a.format(empty=empty) for a in argv))
+    assert code == 2
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+
+
 class TestTraces:
     def test_rrp_and_verify_roundtrip(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"

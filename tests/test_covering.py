@@ -134,6 +134,23 @@ class TestRandomCover:
             draws.append(cert.draws)
         assert sum(draws) / len(draws) < 2
 
+    def test_non_covering_draw_rejected(self, monkeypatch):
+        # first draw B = {0..31}: A + B = {0..50} misses 13 residues, so it must be redrawn
+        from nullcover import covering
+
+        real, calls = covering._uniform_subset, []
+
+        def first_draw_short(rng, n, size):
+            calls.append(size)
+            return np.arange(size) if len(calls) == 1 else real(rng, n, size)
+
+        monkeypatch.setattr(covering, "_uniform_subset", first_draw_short)
+        member = np.arange(20).reshape(-1, 1)
+        fam = SetFamily(d=1, kind="grid", N=64, members=[member])
+        B, cert = random_cover_complement(fam, Fraction(1, 2), seed=0)
+        assert cert.draws == 2
+        assert {(a + b[0]) % 64 for a in range(20) for b in B.members()} == set(range(64))
+
     def test_d2(self):
         rng = np.random.default_rng(5)
         pts = np.stack([rng.integers(0, 8, 40), rng.integers(0, 8, 40)], axis=1)
@@ -144,7 +161,7 @@ class TestRandomCover:
 
     def test_expected_uncovered_below_one(self):
         # 10^4-draw simulation of the single-draw expectation bound
-        from nullcover.covering import _cyclic_covers_all, _uniform_subset
+        from nullcover.covering import _uniform_subset
 
         rng = np.random.default_rng(6)
         member = rng.choice(64, size=20, replace=False)

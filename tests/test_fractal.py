@@ -53,6 +53,14 @@ class TestGenerateCantor:
         with pytest.raises(FractalError):
             generate_cantor({"kind": "digits", "base": 3, "digits": []}, depth=2)
 
+    @pytest.mark.parametrize("base, digits, depth", [
+        (3, [0, 5], 2), (3, [0, 3], 2), (3, [-1, 2], 2), (0, [0], 2), (1, [0], 2),
+        (2, [[0], [0, 2]], 2), (3, [0, 2], -1),
+    ])
+    def test_digit_rule_error(self, base, digits, depth):
+        with pytest.raises(FractalError, match="base >= 2"):
+            generate_cantor({"kind": "digits", "base": base, "digits": digits}, depth=depth)
+
     def test_2d_digits(self):
         A = generate_cantor({"kind": "digits", "base": 2, "digits": [[0], [0, 1]]}, depth=3)
         assert A.d == 2

@@ -1,6 +1,7 @@
 """Fourier/sumset machinery tests against direct character-sum oracles."""
 
 import cmath
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,8 @@ from nullcover.groups import (
     idft,
     linear_bias,
     sumset,
+    sumset_counts,
     sumset_cover_report,
-    sumset_via_convolution_support,
     wht_int,
 )
 
@@ -58,6 +59,25 @@ def sumset_oracle(A: GroupSubset, B: GroupSubset) -> set:
         for b in B.members():
             out.add(tuple((x + y) % m for x, y, m in zip(a, b, G.moduli)))
     return out
+
+
+def sumset_count_oracle(A: GroupSubset, B: GroupSubset) -> Counter:
+    """r(x) = #{(a, b) : a + b = x} by enumerating all pairs."""
+    G = A.group
+    return Counter(
+        tuple((x + y) % m for x, y, m in zip(a, b, G.moduli))
+        for a in A.members()
+        for b in B.members()
+    )
+
+
+def assert_kernel_matches_oracles(A: GroupSubset, B: GroupSubset):
+    G = A.group
+    assert set(sumset(A, B).members()) == sumset_oracle(A, B)
+    counts = sumset_counts(A.mask.reshape(G.moduli), B.mask.reshape(G.moduli))
+    assert counts.dtype == np.int64 and counts.shape == G.moduli
+    got = {G.element(int(i)): int(c) for i, c in enumerate(counts.reshape(-1)) if c}
+    assert got == sumset_count_oracle(A, B)
 
 
 Z2 = FiniteAbelianGroup((2,))
@@ -176,17 +196,25 @@ class TestLinearBias:
 class TestSumset:
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(13)
-        for moduli in [(7,), (12,), (4, 5), (2, 3, 4)]:
+        for moduli in [(7,), (12,), (4, 5), (2, 3, 4), (2,), (2,) * 5, (2,) * 7]:
             g = FiniteAbelianGroup(moduli)
             for _ in range(20):
                 ma = rng.random(g.order) < 0.3
                 mb = rng.random(g.order) < 0.3
                 if not ma.any() or not mb.any():
                     continue
-                A, B = GroupSubset(g, ma), GroupSubset(g, mb)
-                got = set(sumset(A, B).members())
-                assert got == sumset_oracle(A, B)
-                assert sumset_via_convolution_support(A, B) == sumset(A, B)
+                assert_kernel_matches_oracles(GroupSubset(g, ma), GroupSubset(g, mb))
+
+    def test_2_group_full_popcount(self):
+        # (Z_2)^16 with the all-ones element (popcount 16) in A
+        g = FiniteAbelianGroup((2,) * 16)
+        rng = np.random.default_rng(29)
+        ma = np.zeros(g.order, dtype=bool)
+        ma[[0, g.order - 1, 0x5A5A, 0x0F0F]] = True
+        mb = np.zeros(g.order, dtype=bool)
+        mb[rng.choice(g.order, 300, replace=False)] = True
+        mb[g.order - 1] = True
+        assert_kernel_matches_oracles(GroupSubset(g, ma), GroupSubset(g, mb))
 
     def test_support_identity(self):
         # 1A * 1B vanishes exactly off A+B
