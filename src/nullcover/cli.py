@@ -26,17 +26,27 @@ from fractions import Fraction
 import numpy as np
 
 
-def _rational(text: str) -> Fraction:
+def _positive_rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive rational: {text!r}")
+    return value
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
-    return int(text)
+def _int_at_least(lo: int):
+    """argparse type: a decimal integer >= lo."""
+    def parse(text: str) -> int:
+        if not text.isdigit() or int(text) < lo:
+            raise argparse.ArgumentTypeError(f"not an integer >= {lo}: {text!r}")
+        return int(text)
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonneg_int = _int_at_least(0)
 
 
 def _int_list(text: str) -> list[int]:
@@ -159,6 +169,8 @@ def _cmd_dimension(args) -> int:
         if args.set:
             cube = _load(args.set, DyadicCubeSet)
         else:
+            if any(not 0 <= dig < args.base for dig in args.digits):
+                raise UsageError(f"--digits must lie in [0, {args.base}): {args.digits}")
             cube = generate_cantor({"kind": "digits", "base": args.base, "digits": args.digits}, args.depth)
         est = log_dimension_estimate(cube, variant=args.variant)
     except FractalError as exc:
@@ -228,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("bias-set", help="Gauss-sum complement certificate")
-    sp.add_argument("--eta", type=_rational, required=True)
-    sp.add_argument("--m0", type=int, nargs="+", required=True)
-    sp.add_argument("--d", type=int, default=1)
+    sp.add_argument("--eta", type=_positive_rational, required=True)
+    sp.add_argument("--m0", type=_positive_int, nargs="+", required=True)
+    sp.add_argument("--d", type=_positive_int, default=1)
     sp.add_argument("--cap", type=int, default=1 << 24)
     sp.add_argument("--include-zero", action="store_true")
     sp.add_argument("--reinterpret", action="store_true")
@@ -240,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cover", help="randomized covering complement")
     sp.add_argument("--family", required=True, help="SetFamily JSON file")
-    sp.add_argument("--eps", type=_rational, required=True)
+    sp.add_argument("--eps", type=_positive_rational, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--N", type=int)
     sp.add_argument("--g", type=int, default=6, help="dyadic scale exponent for cube families")
@@ -250,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dimension", help="logarithmic dimension estimate")
     sp.add_argument("--set", help="DyadicCubeSet JSON file")
-    sp.add_argument("--base", type=int, default=3)
+    sp.add_argument("--base", type=_int_at_least(2), default=3)
     sp.add_argument("--digits", type=_int_list, default="0,2")
-    sp.add_argument("--depth", type=int, default=6)
+    sp.add_argument("--depth", type=_nonneg_int, default=6)
     sp.add_argument("--variant", choices=("H", "P"), default="H")
     sp.add_argument("--out")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -261,15 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rrp", help="recursive-rectangles construction")
     sp.add_argument("--depth", type=_positive_int, default=3)
     sp.add_argument("--maps", type=_positive_int, default=8)
-    sp.add_argument("--cantor-depth", type=int, default=7)
-    sp.add_argument("--grid-exp", type=int, default=12)
+    sp.add_argument("--cantor-depth", type=_nonneg_int, default=7)
+    sp.add_argument("--grid-exp", type=_nonneg_int, default=12)
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_rrp)
 
     sp = sub.add_parser("full-measure", help="full-measure cascade")
-    sp.add_argument("--eps", type=_rational, default=Fraction(1, 2))
-    sp.add_argument("--depth", type=int, default=3)
-    sp.add_argument("--spacing-exp", type=int, default=50)
+    sp.add_argument("--eps", type=_positive_rational, default=Fraction(1, 2))
+    sp.add_argument("--depth", type=_positive_int, default=3)
+    sp.add_argument("--spacing-exp", type=_nonneg_int, default=50)
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_full_measure)
 

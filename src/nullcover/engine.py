@@ -623,6 +623,8 @@ def full_measure_run(
     arithmetic and the per-stage cyclic coverage certificates come from the
     Walsh-Hadamard-exact bias of the underlying k-th power sets.
     """
+    if depth < 1:
+        raise EngineError(f"full-measure depth must be >= 1, got {depth}")
     eps = frac(eps)
     trace = ConstructionTrace(
         kind="full_measure",

@@ -6,10 +6,14 @@ modulus is the lexicographically smallest monic irreducible of degree n:
 candidates are scanned in increasing code order of their lower coefficients,
 so e.g. GF(16) gets x^4 + x + 1 and every prime field gets modulus x.
 
-Scalar arithmetic lives on `FieldElement`; the bulk numpy routines
-(`bulk_mul`, `bulk_pow`, `kth_power_codes`) act on whole coefficient arrays
-at once, which is what makes the q <= 2^16 bias sweeps cheap.  Construction
-of power sets is discrete-log free: plain exponentiation of every element.
+Scalar arithmetic lives on `FieldElement`.  For p = 2 the bulk kernel is
+packed: an element is its uint64 code, bit i holding c_i, and `packed_mul`
+multiplies two code arrays carry-less (n shift/XOR steps, then reduction of
+the 2n-1-bit product by the modulus from the top bit down), exact integer
+XOR throughout; n <= 32 keeps the product inside 64 bits.  The (N, n)
+coefficient-array routines (`bulk_mul`, `bulk_pow`) serve odd p, and are the
+tests' reference for the packed kernel.  `kth_power_codes` builds power sets
+without discrete logs: plain exponentiation of every element.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import Iterable
 import numpy as np
 
 DEFAULT_FIELD_CAP = 1 << 24
+PACKED_MAX_DEGREE = 32  # the 2n-1-bit carry-less product must fit in a uint64
 
 
 class FieldError(ValueError):
@@ -329,13 +334,62 @@ def coords_to_codes(spec: FieldSpec, coords: np.ndarray) -> np.ndarray:
     return coords @ weights
 
 
+def _packed_modulus(spec: FieldSpec) -> int:
+    """The modulus as an integer code (bit i = f_i, bit n set)."""
+    if spec.p != 2:
+        raise FieldError(f"packed arithmetic needs p = 2, got p = {spec.p}")
+    if spec.n > PACKED_MAX_DEGREE:
+        raise FieldError(f"packed GF(2^n) needs n <= {PACKED_MAX_DEGREE}, got n = {spec.n}")
+    return sum(int(c) << i for i, c in enumerate(spec.modulus))
+
+
+def packed_mul(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise GF(2^n) product of two equal-shape uint64 code arrays."""
+    n, f = spec.n, _packed_modulus(spec)
+    a = np.asarray(a, dtype=np.uint64)
+    b = np.asarray(b, dtype=np.uint64)
+    prod = np.zeros(a.shape, dtype=np.uint64)
+    bit = np.empty_like(prod)
+    term = np.empty_like(prod)
+    for i in range(n):  # prod ^= a * x^i wherever c_i(b) = 1
+        np.right_shift(b, i, out=bit)
+        bit &= 1
+        np.left_shift(a, i, out=term)
+        term *= bit
+        prod ^= term
+    for top in range(2 * n - 2, n - 1, -1):  # clear bit `top` with f * x^(top - n)
+        np.right_shift(prod, top, out=bit)
+        bit &= 1
+        bit *= f << (top - n)
+        prod ^= bit
+    return prod
+
+
+def packed_pow(spec: FieldSpec, a: np.ndarray, e: int) -> np.ndarray:
+    """Elementwise e-th powers of a uint64 code array, by square-and-multiply."""
+    base = np.asarray(a, dtype=np.uint64)
+    result = np.ones(base.shape, dtype=np.uint64)
+    while e:
+        if e & 1:
+            result = packed_mul(spec, result, base)
+        e >>= 1
+        if e:
+            base = packed_mul(spec, base, base)
+    return result
+
+
 def kth_power_codes(spec: FieldSpec, k: int, include_zero: bool = False) -> np.ndarray:
     """Sorted unique codes of {x^k : x in F_q^*} (optionally with 0)."""
     if k < 1 or (spec.q - 1) % k != 0:
         raise FieldError(f"k = {k} does not divide q - 1 = {spec.q - 1}")
-    coords = all_coords(spec)[1:]  # skip zero
-    powers = bulk_pow(spec, coords, k)
-    codes = np.unique(coords_to_codes(spec, powers))
+    if spec.p == 2:
+        _packed_modulus(spec)  # reject n > 32 before allocating q codes
+        powers = packed_pow(spec, np.arange(1, spec.q, dtype=np.uint64), k)
+    else:
+        powers = coords_to_codes(spec, bulk_pow(spec, all_coords(spec)[1:], k))
+    seen = np.zeros(spec.q, dtype=bool)
+    seen[powers] = True
+    codes = np.flatnonzero(seen)
     if include_zero:
         codes = np.concatenate(([0], codes))
     return codes

@@ -165,12 +165,20 @@ def wht_int(values: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
     """
     if any(m != 2 for m in moduli):
         raise GroupError("wht_int requires all moduli equal to 2")
-    a = np.asarray(values, dtype=np.int64).reshape((2,) * len(moduli))
-    for ax in range(a.ndim):
-        lo = a.take(0, axis=ax)
-        hi = a.take(1, axis=ax)
-        a = np.stack((lo + hi, lo - hi), axis=ax)
-    return a.reshape(-1)
+    r = len(moduli)
+    a = np.array(values, dtype=np.int64).reshape(-1)
+    if a.size != 1 << r:
+        raise GroupError(f"wht_int needs 2^{r} values, got {a.size}")
+    out = np.empty_like(a)
+    half = a.size // 2
+    for _ in range(r):
+        # butterfly on the last axis of (2,)^r, written as the first axis: after
+        # r rounds every axis is transformed once and the axis order is back
+        lo, hi = a[0::2], a[1::2]
+        np.add(lo, hi, out=out[:half])
+        np.subtract(lo, hi, out=out[half:])
+        a, out = out, a
+    return a
 
 
 def dft(f: GroupFunction) -> GroupFunction:

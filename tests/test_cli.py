@@ -124,6 +124,18 @@ class TestDimension:
     ("cover", "--family", "{empty}", "--eps", "1/2", "--seed", "1"),
     ("dimension", "--set", "{empty}"),
     ("rrp", "--depth", "0"),
+    ("bias-set", "--eta", "1/3", "--m0", "0"),
+    ("bias-set", "--eta", "1/3", "--m0", "4", "--d", "0"),
+    ("dimension", "--base", "1"),
+    ("dimension", "--depth", "-1"),
+    ("dimension", "--base", "3", "--digits", "0,5"),
+    ("rrp", "--cantor-depth", "-1"),
+    ("rrp", "--grid-exp", "-1"),
+    ("full-measure", "--depth", "0"),
+    ("full-measure", "--depth", "-1"),
+    ("bias-set", "--eta", "0", "--m0", "4"),
+    ("full-measure", "--eps", "0"),
+    ("full-measure", "--spacing-exp", "-1"),
 ])
 def test_usage_error_exit_2(capsys, tmp_path, argv):
     empty = tmp_path / "empty.json"
@@ -159,6 +171,18 @@ class TestTraces:
         trace.write_text(json.dumps(data))
         code, _, _ = run(capsys, "verify", str(trace))
         assert code == 1
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_full_measure_depth_below_one_fails_verify(self, capsys, tmp_path, depth):
+        trace = tmp_path / "fm.json"
+        assert run(capsys, "full-measure", "--depth", "1", "--out", str(trace))[0] == 0
+        data = json.loads(trace.read_text())
+        data["meta"]["depth"] = depth
+        data["steps"] = data["steps"][:1]  # stage 0 only, as such a run would record
+        trace.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", str(trace))
+        assert code == 1
+        assert err.startswith("verification error: ") and "Traceback" not in err
 
     def test_unknown_kind(self, capsys, tmp_path):
         path = tmp_path / "x.json"

@@ -236,6 +236,12 @@ class TestFullMeasure:
         with pytest.raises(EngineError, match="N'"):
             full_measure_run(coarse, Fraction(1, 2), depth=2)
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        grid = GridSet(spacing_exponent=50, region=[(Fraction(0), Fraction(1, 2))])
+        with pytest.raises(EngineError, match="depth"):
+            full_measure_run(grid, Fraction(1, 2), depth=depth)
+
     def test_determinism(self):
         grid = GridSet(spacing_exponent=50, region=[(Fraction(0), Fraction(1, 2))])
         t1 = full_measure_run(grid, Fraction(1, 2), depth=2)

@@ -16,6 +16,8 @@ from nullcover.gf import (
     kth_power_codes,
     kth_power_set,
     make_field,
+    packed_mul,
+    packed_pow,
     to_coordinates,
 )
 from nullcover.groups import linear_bias
@@ -169,7 +171,8 @@ class TestPowerSets:
 
     @pytest.mark.parametrize(
         "p,n,k",
-        [(2, 4, 3), (2, 4, 5), (2, 6, 7), (3, 2, 2), (3, 2, 4), (5, 2, 3), (7, 2, 6), (2, 12, 13)],
+        [(2, 4, 3), (2, 4, 5), (2, 6, 7), (3, 2, 2), (3, 2, 4), (5, 2, 3), (7, 2, 6), (2, 12, 13),
+         (2, 20, 3)],
     )
     def test_size_formula(self, p, n, k):
         spec = make_field(p, n)
@@ -184,6 +187,70 @@ class TestPowerSets:
         # include-zero variant: perturbed by exactly 1/q per coefficient
         bias0 = linear_bias(coordinate_subset(spec, kth_power_codes(spec, k, include_zero=True)))
         assert float(bias0) <= float(bias) + 1 / spec.q + 1e-12
+
+
+def oracle_mul_codes(spec, a, b):
+    """The (N, n) coefficient-array product of two code arrays, as codes."""
+    weights = spec.p ** np.arange(spec.n, dtype=np.int64)
+    coords_a = (np.asarray(a, dtype=np.int64)[:, None] // weights) % spec.p
+    coords_b = (np.asarray(b, dtype=np.int64)[:, None] // weights) % spec.p
+    return coords_to_codes(spec, bulk_mul(spec, coords_a, coords_b))
+
+
+def oracle_kth_power_codes(spec, k):
+    return np.unique(coords_to_codes(spec, bulk_pow(spec, all_coords(spec)[1:], k)))
+
+
+class TestPacked:
+    """The packed uint64 GF(2^t) kernel against the coefficient-array oracle."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
+    def test_full_product_table(self, t):
+        spec = make_field(2, t)
+        a, b = np.divmod(np.arange(spec.q * spec.q, dtype=np.int64), spec.q)
+        got = packed_mul(spec, a.astype(np.uint64), b.astype(np.uint64))
+        assert got.dtype == np.uint64
+        assert np.array_equal(got.astype(np.int64), oracle_mul_codes(spec, a, b))
+
+    @pytest.mark.parametrize("t", [8, 12, 16, 20, 24])
+    def test_random_pairs(self, t):
+        spec = make_field(2, t)
+        rng = np.random.default_rng(1000 + t)
+        a = rng.integers(0, spec.q, 10_000)
+        b = rng.integers(0, spec.q, 10_000)
+        got = packed_mul(spec, a.astype(np.uint64), b.astype(np.uint64))
+        assert np.array_equal(got.astype(np.int64), oracle_mul_codes(spec, a, b))
+        # the inverse by Fermat: a^(q-2) * a = 1 for a != 0
+        nz = a[a != 0].astype(np.uint64)
+        inv = packed_pow(spec, nz, spec.q - 2)
+        assert np.all(packed_mul(spec, nz, inv) == 1)
+
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_kth_power_codes_every_small_k(self, t):
+        spec = make_field(2, t)
+        ks = [k for k in range(1, 51) if (spec.q - 1) % k == 0]
+        for k in ks:
+            assert np.array_equal(kth_power_codes(spec, k), oracle_kth_power_codes(spec, k)), k
+
+    @pytest.mark.parametrize("t,k", [(16, 3), (16, 5), (16, 15), (16, 17), (12, 13)])
+    def test_kth_power_codes_construction_fields(self, t, k):
+        spec = make_field(2, t)
+        got = kth_power_codes(spec, k)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, oracle_kth_power_codes(spec, k))
+
+    def test_rejects_wide_or_odd_fields(self):
+        wide = make_field(2, 33, cap=1 << 33)
+        with pytest.raises(FieldError):
+            kth_power_codes(wide, 1)
+        with pytest.raises(FieldError):
+            packed_mul(wide, np.ones(1, np.uint64), np.ones(1, np.uint64))
+        with pytest.raises(FieldError):
+            packed_mul(make_field(3, 2), np.ones(1, np.uint64), np.ones(1, np.uint64))
+        top = make_field(2, 32, cap=1 << 32)  # the widest field: 63-bit products
+        a = np.array([1 << 31, (1 << 32) - 1, 0x9E3779B9], dtype=np.int64)
+        got = packed_mul(top, a.astype(np.uint64), a[::-1].astype(np.uint64))
+        assert np.array_equal(got.astype(np.int64), oracle_mul_codes(top, a, a[::-1]))
 
 
 class TestCoordinates:

@@ -277,6 +277,21 @@ def test_wht_roundtrip():
     assert np.array_equal(wht_int(w, (2,) * 5), 32 * v)
 
 
+@pytest.mark.parametrize("r", [0, 1, 3, 8, 10])
+def test_wht_matches_character_sum(r):
+    """W(xi) = sum_x f(x) (-1)^(x.xi), directly, and the input is left as it was."""
+    rng = np.random.default_rng(r)
+    v = rng.integers(-50, 51, size=1 << r)
+    kept = v.copy()
+    x = np.arange(1 << r)
+    signs = 1 - 2 * (np.bitwise_count(x[:, None] & x[None, :]) & 1).astype(np.int64)
+    assert np.array_equal(wht_int(v, (2,) * r), signs @ v)
+    assert np.array_equal(wht_int(v > 0, (2,) * r), signs @ (v > 0))
+    assert np.array_equal(v, kept)
+    with pytest.raises(GroupError):
+        wht_int(v, (2,) * (r + 1))
+
+
 def test_subset_serialization_roundtrip():
     g = FiniteAbelianGroup((3, 4))
     B = GroupSubset.from_members(g, [(2, 3), (0, 0), (1, 2)])
