@@ -97,6 +97,8 @@ class PropositionParams:
 def select_parameters(eta, m0: int, d: int, cap: int = DEFAULT_FIELD_CAP) -> PropositionParams:
     """Smallest prime k in [1/eta, 2/eta], then smallest s with 2^{s(k-1)} >= m0."""
     eta = frac(eta)
+    if not (0 < eta <= Fraction(1, 3)):
+        raise ParameterError(f"eta must lie in (0, 1/3], got {eta}")
     if m0 < 1:
         raise ParameterError("m0 must be >= 1")
     lo, hi = 1 / eta, 2 / eta

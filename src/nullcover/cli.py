@@ -36,6 +36,16 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
+def _rational_up_to(hi: Fraction, closed: bool):
+    """argparse type: a rational in (0, hi], or in (0, hi) when not closed."""
+    def parse(text: str) -> Fraction:
+        value = _positive_rational(text)
+        if value > hi or (value == hi and not closed):
+            raise argparse.ArgumentTypeError(f"not in (0, {hi}{']' if closed else ')'}: {text!r}")
+        return value
+    return parse
+
+
 def _int_at_least(lo: int):
     """argparse type: a decimal integer >= lo."""
     def parse(text: str) -> int:
@@ -240,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("bias-set", help="Gauss-sum complement certificate")
-    sp.add_argument("--eta", type=_positive_rational, required=True)
+    sp.add_argument("--eta", type=_rational_up_to(Fraction(1, 3), closed=True), required=True)
     sp.add_argument("--m0", type=_positive_int, nargs="+", required=True)
     sp.add_argument("--d", type=_positive_int, default=1)
     sp.add_argument("--cap", type=int, default=1 << 24)
@@ -279,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_rrp)
 
     sp = sub.add_parser("full-measure", help="full-measure cascade")
-    sp.add_argument("--eps", type=_positive_rational, default=Fraction(1, 2))
+    sp.add_argument("--eps", type=_rational_up_to(Fraction(1), closed=False), default=Fraction(1, 2))
     sp.add_argument("--depth", type=_positive_int, default=3)
     sp.add_argument("--spacing-exp", type=_nonneg_int, default=50)
     sp.add_argument("--out")

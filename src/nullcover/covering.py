@@ -22,6 +22,7 @@ orders of magnitude below 1/2.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -448,8 +449,14 @@ def greedy_piece_cover(
     strided probe translates wins (ties to the smallest anchor).  Anchoring
     at exact offsets lets self-similar point sets reuse pieces heavily,
     which is what keeps the measure near the structural optimum.  `budget`
-    bounds the merged measure of T (same integer frame); CoverError when
-    exceeded.
+    bounds the merged measure of T (same integer frame), checked after every
+    piece; CoverError when exceeded.
+
+    A member that is a translate (points + c, target + c) of a member already
+    walked is skipped: once (points, target) is walked, target lies inside
+    points + union(T), and pieces are only ever added, so the translate is
+    covered too and its walk would add nothing.  Families of translated maps
+    make most members such translates.
     """
     norm = [
         (
@@ -458,13 +465,20 @@ def greedy_piece_cover(
         )
         for p, *rest in members
     ]
-    chosen: set[int] = set()
+    offs: list[int] = []  # the chosen offsets, sorted
+    measure = 0  # merged measure of union(T)
+    walked: set[tuple[int, bytes]] = set()
     for mi, (pts, targets) in enumerate(norm):
         if pts.size == 0:
             raise CoverError(f"member {mi} has no points")
+        # points and target relative to the first point; the size splits the two
+        key = (pts.size, (np.concatenate((pts, targets.ravel())) - pts[0]).tobytes())
+        if key in walked:
+            continue
+        walked.add(key)
         probes = pts[::probe_stride]
-        offs = np.array(sorted(chosen), dtype=np.int64)
-        union = points_plus(pts, offs, offs + piece_w)
+        taken = np.array(offs, dtype=np.int64)
+        union = points_plus(pts, taken, taken + piece_w)
         # a target covered now stays covered, so only the open ones are walked
         lo_t, hi_t = targets.T
         open_now = covered_measure(*union, lo_t, hi_t) < hi_t - lo_t
@@ -485,9 +499,9 @@ def greedy_piece_cover(
                 if len(cand) < n_candidates:
                     stride = max(1, (w1 - w0) // (n_candidates - len(cand) + 1))
                     cand.update(range(w0, w1, stride))
+                # u is a gap of pts + union(T), so no u - x is an offset taken
                 o = u - pts[sorted(cand)]
                 o = o[(o >= allowed_lo) & (o + piece_w <= allowed_hi)]
-                o = o[[x not in chosen for x in o.tolist()]]
                 if o.size == 0:
                     raise CoverError(
                         f"cannot cover member {mi} at {u} within the allowed window"
@@ -499,13 +513,25 @@ def greedy_piece_cover(
                 fresh = np.where(q1 > q0, (q1 - q0) - covered_measure(*union, q0, q1), 0)
                 gain = fresh.sum(axis=1)
                 best = int(o[gain == gain.max()].min())
-                chosen.add(best)
                 union = _extend(union, pts, best, best + piece_w)
-                taken = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
-                t_lo, t_hi = merge_int(taken, taken + piece_w)
-                if int((t_hi - t_lo).sum()) > budget:
+                measure += _insert_offset(offs, best, piece_w)
+                if measure > budget:
                     raise CoverError(f"greedy piece cover exceeded the budget {budget}")
-    return [(o, o + piece_w) for o in sorted(chosen)]
+    return [(o, o + piece_w) for o in offs]
+
+
+def _insert_offset(offs: list[int], b: int, w: int) -> int:
+    """Insert the new offset b into the sorted offsets of width-w pieces and
+    return how much their merged measure grows.  That measure is the sum of
+    min(w, next - cur) over the offsets, the last one counting w, so b adds
+    its two terms and removes the one of the pair (pred, succ) it splits; a
+    missing neighbour counts w."""
+    i = bisect.bisect_left(offs, b)
+    left = min(w, b - offs[i - 1]) if i else w
+    right = min(w, offs[i] - b) if i < len(offs) else w
+    split = min(w, offs[i] - offs[i - 1]) if 0 < i < len(offs) else w
+    offs.insert(i, b)
+    return left + right - split
 
 
 def _extend(union, pts: np.ndarray, lo: int, hi: int):

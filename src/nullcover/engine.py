@@ -9,12 +9,13 @@ rounding anywhere.  The covering pieces K_j are unions of dyadic-width
 intervals (width a power of two over D), so their volumes are exact dyadic
 rationals.
 
-Per iteration j the current set K_j is split into its parts inside dyadic
-cells of side l_j (delta_j = 2 l_j <= 2^-j); one shared complement T_s per
-cell covers the translated targets of every map and every current anchor at
-once, built by the deterministic greedy of `covering.greedy_cell_complement`
-with the cell-local window enforcing T_s inside the doubled cell.  The
-invariants
+Per iteration j, `rrp_run` builds one step-wide piece set T with a single
+call to `covering.greedy_piece_cover`: one obligation per (anchor a, map f),
+the images under f of the points within rho_j of a paired with the part of
+f(a) + K_j inside f(a0) + R, and every piece inside the hull of K_j widened
+by rho_j plus one piece width.  T covers all of them at once under
+the step-level budget 5^-d 2^-(j+1), and K_{j+1} is the merged union of T.
+The invariants
 
     (a) K_{j+1} inside the delta_j-neighborhood of K_j,
     (b) |K_j| <= 5^-d 2^-j  and  |K_j^(2 delta_j)| <= 2^-j,
@@ -24,7 +25,7 @@ are then re-verified from the stored intervals, never assumed.  The
 paper-style per-pair volume budget |T_{s,a}| <= |Q_s| / (2*5^d*|A'_j|) is
 unattainable for finite point sets (it forces |A'| to grow geometrically
 inside shrinking windows), so the budget is enforced at the step level
-(sum |T_s| <= 5^-d 2^-(j+1), which is what the pair budget exists to give);
+(|T| <= 5^-d 2^-(j+1), which is what the pair budget exists to give);
 the reference thresholds are still computed and recorded with their margins.
 """
 
@@ -40,6 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from nullcover.bias_sets import (
+    ParameterError,
     PatchTemplate,
     build_patch_template,
     coverage_threshold,
@@ -626,6 +628,8 @@ def full_measure_run(
     if depth < 1:
         raise EngineError(f"full-measure depth must be >= 1, got {depth}")
     eps = frac(eps)
+    if not (0 < eps < 1):  # the (d) bound (1 - 2^-j) eps is vacuous from eps = 1 on
+        raise ParameterError(f"eps must lie in (0, 1), got {eps}")
     trace = ConstructionTrace(
         kind="full_measure",
         meta={"grid": grid.to_json_dict(), "eps": str(eps), "depth": depth},

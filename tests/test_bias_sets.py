@@ -67,8 +67,10 @@ class TestSelectParameters:
             select_parameters(Fraction(1, 16), 1, 2)  # k = 17 -> q = 2^32
 
     def test_invalid_eta(self):
-        with pytest.raises(ParameterError):
-            select_parameters(Fraction(1, 2), 1, 1)
+        # the range is checked before the prime search
+        for eta in (Fraction(1, 2), Fraction(2), Fraction(0), Fraction(-1, 4)):
+            with pytest.raises(ParameterError, match=r"eta must lie in \(0, 1/3\]"):
+                select_parameters(eta, 4, 1)
 
 
 class TestBiasComplement:

@@ -136,6 +136,10 @@ class TestDimension:
     ("bias-set", "--eta", "0", "--m0", "4"),
     ("full-measure", "--eps", "0"),
     ("full-measure", "--spacing-exp", "-1"),
+    ("full-measure", "--eps", "1", "--depth", "1"),
+    ("full-measure", "--eps", "3/2"),
+    ("bias-set", "--eta", "2", "--m0", "4"),
+    ("bias-set", "--eta", "1/2", "--m0", "4"),
 ])
 def test_usage_error_exit_2(capsys, tmp_path, argv):
     empty = tmp_path / "empty.json"
@@ -183,6 +187,17 @@ class TestTraces:
         code, _, err = run(capsys, "verify", str(trace))
         assert code == 1
         assert err.startswith("verification error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("eps", ["1", "3/2"])
+    def test_full_measure_eps_at_least_one_fails_verify(self, capsys, tmp_path, eps):
+        trace = tmp_path / "fm.json"
+        assert run(capsys, "full-measure", "--depth", "1", "--out", str(trace))[0] == 0
+        data = json.loads(trace.read_text())
+        data["meta"]["eps"] = eps
+        trace.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", str(trace))
+        assert code == 1
+        assert err.startswith("verification error: eps must lie in (0, 1)")
 
     def test_unknown_kind(self, capsys, tmp_path):
         path = tmp_path / "x.json"

@@ -15,6 +15,8 @@ from nullcover.covering import (
     dyadic_cover_complement,
     family_hausdorff_cover_count,
     greedy_cell_complement,
+    greedy_piece_cover,
+    _insert_offset,
     pixel_cover_mask,
     random_cover_complement,
     size_threshold,
@@ -393,9 +395,8 @@ def test_family_serialization_roundtrip():
 
 
 def test_greedy_piece_cover_deterministic_shared_core():
-    # the piece builder used by the construction engine and the anchored
-    # complements: identical inputs give identical pieces, bit for bit
-    from nullcover.covering import greedy_piece_cover
+    # the piece builder of the recursive-rectangles engine (`rrp_run`):
+    # identical inputs give identical pieces, bit for bit
 
     rng = np.random.default_rng(17)
     pts = np.sort(rng.choice(4096, 60, replace=False))
@@ -409,3 +410,148 @@ def test_greedy_piece_cover_deterministic_shared_core():
         for p in pts.tolist():
             acc.add(p + lo, p + hi)
     assert acc.first_gap(512, 3584) is None
+
+
+def greedy_piece_cover_oracle(members, piece_w, allowed_lo, allowed_hi, budget,
+                              n_candidates=48, probe_stride=4):
+    """`greedy_piece_cover` without its shortcuts: every member and target is
+    walked, translates included, candidate offsets already taken are
+    filtered out, and the budget re-merges every piece taken."""
+    norm = [
+        (
+            np.asarray(p, dtype=np.int64).reshape(-1),
+            np.asarray(rest if len(rest) == 2 else rest[0], dtype=np.int64).reshape(-1, 2),
+        )
+        for p, *rest in members
+    ]
+    chosen = set()
+    for mi, (pts, targets) in enumerate(norm):
+        if pts.size == 0:
+            raise CoverError(f"member {mi} has no points")
+        probes = pts[::probe_stride]
+        offs = np.array(sorted(chosen), dtype=np.int64)
+        union = points_plus(pts, offs, offs + piece_w)
+        for lo, hi in targets.tolist():
+            while True:
+                u = first_gap(*union, lo, hi)
+                if u is None:
+                    break
+                w0 = int(np.searchsorted(pts, u - (allowed_hi - piece_w), side="left"))
+                w1 = int(np.searchsorted(pts, u - allowed_lo, side="right"))
+                if w1 <= w0:
+                    raise CoverError(f"cannot cover member {mi} at {u} within the allowed window")
+                iu = int(np.searchsorted(pts, u, side="right"))
+                cand = set(range(max(w0, iu - n_candidates // 2), min(w1, iu + 8)))
+                if len(cand) < n_candidates:
+                    stride = max(1, (w1 - w0) // (n_candidates - len(cand) + 1))
+                    cand.update(range(w0, w1, stride))
+                o = u - pts[sorted(cand)]
+                o = o[(o >= allowed_lo) & (o + piece_w <= allowed_hi)]
+                o = o[[x not in chosen for x in o.tolist()]]
+                if o.size == 0:
+                    raise CoverError(f"cannot cover member {mi} at {u} within the allowed window")
+                q0 = np.maximum(probes + o[:, None], lo)
+                q1 = np.minimum(probes + o[:, None] + piece_w, hi)
+                fresh = np.where(q1 > q0, (q1 - q0) - covered_measure(*union, q0, q1), 0)
+                gain = fresh.sum(axis=1)
+                best = int(o[gain == gain.max()].min())
+                chosen.add(best)
+                union = merge_int(np.concatenate((union[0], pts + best)),
+                                  np.concatenate((union[1], pts + best + piece_w)))
+                taken = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
+                t_lo, t_hi = merge_int(taken, taken + piece_w)
+                if int((t_hi - t_lo).sum()) > budget:
+                    raise CoverError(f"greedy piece cover exceeded the budget {budget}")
+    return [(o, o + piece_w) for o in sorted(chosen)]
+
+
+PIECE_KW = dict(piece_w=32, allowed_lo=-4096, allowed_hi=8192)
+
+
+def _random_member(rng):
+    pts = np.sort(rng.choice(4096, int(rng.integers(30, 70)), replace=False))
+    cuts = np.sort(rng.choice(np.arange(512, 3584, 8), 2 * int(rng.integers(1, 4)), replace=False))
+    return pts, [tuple(c) for c in cuts.reshape(-1, 2).tolist()]
+
+
+def _shifted(member, c):
+    pts, targets = member
+    return pts + c, [(lo + c, hi + c) for lo, hi in targets]
+
+
+def _merged_measure(pieces):
+    lo, hi = merge_int(*np.array(pieces, dtype=np.int64).reshape(-1, 2).T)
+    return int((hi - lo).sum())
+
+
+def _cover_or_error(builder, members, budget):
+    try:
+        return builder(members, budget=budget, **PIECE_KW)
+    except CoverError as exc:
+        return f"CoverError: {exc}"
+
+
+class TestGreedyPieceCover:
+    @pytest.mark.parametrize("w", [1, 7, 32])
+    def test_insert_offset_tracks_merged_measure(self, w):
+        rng = np.random.default_rng(w)
+        offs, measure = [], 0
+        for b in rng.choice(400, 150, replace=False).tolist():
+            measure += _insert_offset(offs, b, w)
+            assert offs == sorted(offs)
+            assert measure == _merged_measure([(o, o + w) for o in offs])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_translated_copies_add_no_pieces(self, seed):
+        rng = np.random.default_rng([seed, 7])
+        base = [_random_member(rng) for _ in range(4)]
+        # the second member asks for part of what the first one covered
+        pts, targets = base[0]
+        lo, hi = targets[0]
+        base.insert(1, (pts, [(lo + 8, hi - 8)]))
+        with_copies = []
+        for i, member in enumerate(base):
+            with_copies.append(member)
+            # translates of this member and of one earlier member, each +-c
+            for j in {i, int(rng.integers(0, i + 1))}:
+                c = int(rng.integers(1, 300)) * int(rng.choice([-1, 1]))
+                with_copies.append(_shifted(base[j], c))
+        pieces = greedy_piece_cover(base, budget=1 << 20, **PIECE_KW)
+        assert greedy_piece_cover(with_copies, budget=1 << 20, **PIECE_KW) == pieces
+        assert greedy_piece_cover_oracle(with_copies, budget=1 << 20, **PIECE_KW) == pieces
+
+    def test_matches_oracle_at_the_budget_edge(self):
+        overlapping = 0
+        for seed in range(16):
+            rng = np.random.default_rng([seed, 8])
+            members = [_random_member(rng) for _ in range(6)]
+            members.append(_shifted(members[0], 5))
+            pieces = greedy_piece_cover(members, budget=1 << 20, **PIECE_KW)
+            assert pieces == greedy_piece_cover_oracle(members, budget=1 << 20, **PIECE_KW)
+            measure = _merged_measure(pieces)
+            overlapping += measure < 32 * len(pieces)
+            # a budget equal to the final merged measure passes; one below
+            # fails with the oracle's error
+            assert greedy_piece_cover(members, budget=measure, **PIECE_KW) == pieces
+            short = _cover_or_error(greedy_piece_cover, members, measure - 1)
+            assert short == f"CoverError: greedy piece cover exceeded the budget {measure - 1}"
+            assert short == _cover_or_error(greedy_piece_cover_oracle, members, measure - 1)
+        assert overlapping >= 4  # overlapping pieces exercise every budget term
+
+    def test_same_points_new_target_is_walked(self):
+        rng = np.random.default_rng(9)
+        pts, targets = _random_member(rng)
+        members = [(pts, targets[:1]), _shifted((pts, [(3600, 3900)]), 40)]
+        pieces = greedy_piece_cover(members, budget=1 << 20, **PIECE_KW)
+        assert pieces == greedy_piece_cover_oracle(members, budget=1 << 20, **PIECE_KW)
+        assert pieces != greedy_piece_cover(members[:1], budget=1 << 20, **PIECE_KW)
+
+    def test_points_and_target_split_by_size(self):
+        # relative to the first point, both members flatten to 0, 100, 200,
+        # 600, 900: three points and one target, or one point and two targets
+        a = (np.array([0, 100, 200]), [(600, 900)])
+        b = (np.array([5000]), [(5100, 5200), (5600, 5900)])
+        kw = dict(PIECE_KW, allowed_hi=1 << 14)
+        pieces = greedy_piece_cover([a, b], budget=1 << 20, **kw)
+        assert pieces == greedy_piece_cover_oracle([a, b], budget=1 << 20, **kw)
+        assert pieces != greedy_piece_cover([a], budget=1 << 20, **kw)

@@ -1,5 +1,6 @@
 """Construction engine: families, single steps, full runs, cascade, traces."""
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -7,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nullcover.bias_sets import ParameterError
+from nullcover.cli import main
 from nullcover.elementary import merge_intervals
 from nullcover.engine import (
     AffineMap,
@@ -22,6 +25,12 @@ from nullcover.engine import (
     rrp_step,
     verify_rrp_trace,
 )
+
+
+# content_hash of the default `nullcover rrp` trace, which is also the
+# criterion-6 instance (`_acceptance_rrp` in test_acceptance.py); a faster
+# builder must give the same pieces
+RRP_DEFAULT_HASH = "81a26b055725cd43fae47b3570dbb1c53e9cd4fe1db5ad251cee693b1a3db805"
 
 
 def criterion_family():
@@ -122,6 +131,18 @@ class TestRRPRun:
             assert s.checks["check_b_neighborhood"]
             assert s.checks["check_c_coverage"]
         assert time.time() - t0 < 300
+        assert trace.content_hash() == RRP_DEFAULT_HASH
+
+    @pytest.mark.parametrize("argv, expected", [
+        ((), RRP_DEFAULT_HASH),
+        (("--depth", "2", "--maps", "3", "--cantor-depth", "6"),
+         "be6c65d93654b7827fb5cc03ccb0c3bf400bb764a91ddaf7282a4c3eb3009004"),
+    ])
+    def test_cli_trace_hash_pinned(self, tmp_path, argv, expected):
+        out = tmp_path / "trace.json"
+        assert main(["rrp", *argv, "--out", str(out)]) == 0
+        blob = json.dumps(json.loads(out.read_text()), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == expected
 
     def test_initial_rectangle(self):
         trace = rrp_run(criterion_points(), criterion_family(), depth=1,
@@ -241,6 +262,12 @@ class TestFullMeasure:
         grid = GridSet(spacing_exponent=50, region=[(Fraction(0), Fraction(1, 2))])
         with pytest.raises(EngineError, match="depth"):
             full_measure_run(grid, Fraction(1, 2), depth=depth)
+
+    @pytest.mark.parametrize("eps", [Fraction(1), Fraction(3, 2), Fraction(0)])
+    def test_eps_outside_unit_interval_rejected(self, eps):
+        grid = GridSet(spacing_exponent=50, region=[(Fraction(0), Fraction(1, 2))])
+        with pytest.raises(ParameterError, match=r"eps must lie in \(0, 1\), got"):
+            full_measure_run(grid, eps, depth=1)
 
     def test_determinism(self):
         grid = GridSet(spacing_exponent=50, region=[(Fraction(0), Fraction(1, 2))])
