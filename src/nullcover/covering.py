@@ -31,12 +31,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from nullcover.elementary import (
-    ElementarySet,
     covered_measure,
     first_gap,
     frac,
     merge_int,
     points_plus,
+    unique_cells,
 )
 from nullcover.groups import FiniteAbelianGroup, GroupSubset, sumset_counts
 
@@ -343,8 +343,7 @@ def family_hausdorff_cover_count(family: SetFamily, g: int) -> int:
 
 @dataclass
 class DyadicCoverResult:
-    elementary: ElementarySet
-    cells: np.ndarray  # signed delta-cell coordinates, d columns
+    cells: np.ndarray  # signed delta-cell coordinates, d columns: the cubes of B
     g: int
     certificate: dict
 
@@ -366,13 +365,13 @@ def dyadic_cover_complement(
     pe = family.point_exponent
     if pe < g + 1:
         raise CoverError("points must be at least at delta/2 resolution")
+    if d * (g + 1) > 62:
+        raise CoverError(f"d * (g + 1) = {d * (g + 1)} exceeds 62 bits of one int64 cell key")
     m = 1 << g
-    grid_members = []
     for pts in family.members:
-        cells = np.unique(pts >> (pe - g), axis=0)
-        if cells.size and (cells.min() < 0 or cells.max() >= m):
+        if pts.size and (pts.min() < 0 or pts.max() >= 1 << pe):
             raise CoverError("cube member outside [0,1]^d")
-        grid_members.append(cells)
+    grid_members = [unique_cells(pts >> (pe - g), g) for pts in family.members]
     counts = [c.shape[0] for c in grid_members]
     fam_count = family_hausdorff_cover_count(family, g)
     threshold = (18.0**d / float(eps)) * math.log((1 << g) * fam_count)
@@ -389,8 +388,7 @@ def dyadic_cover_complement(
     nbr = np.array(np.meshgrid(*([(-1, 0, 1)] * d), indexing="ij"), dtype=np.int64).reshape(d, -1).T
     cells = (box.points[:, None, :] + nbr[None, :, :]).reshape(-1, d)
     cells = cells[np.all((cells >= -m) & (cells < m), axis=1)]  # keep inside [-1,1]^d
-    cells = np.unique(cells, axis=0)
-    elementary = ElementarySet.from_cells(d, cells, g)
+    cells = unique_cells(cells, g + 1, lo=-m)
     measure = Fraction(int(cells.shape[0]), m**d)
     if measure > eps:
         raise CoverError(f"measure {measure} exceeds eps {eps}")
@@ -398,7 +396,7 @@ def dyadic_cover_complement(
     window_lo = np.zeros(d, dtype=np.int64)
     window_hi = np.full(d, 1 << (g + 1), dtype=np.int64)
     for i, pts in enumerate(family.members):
-        hcells = np.unique(pts >> (pe - g - 1), axis=0)
+        hcells = unique_cells(pts >> (pe - g - 1), g + 1)
         cov = pixel_cover_mask(hcells, h_b, d, window_lo, window_hi)
         if not cov.all():
             raise CoverError(
@@ -423,7 +421,7 @@ def dyadic_cover_complement(
         "coverage_complete": True,
         "symbol_note": "the measure budget eps is sometimes written eta; one symbol here",
     }
-    return DyadicCoverResult(elementary=elementary, cells=cells, g=g, certificate=cert)
+    return DyadicCoverResult(cells=cells, g=g, certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +700,7 @@ def anchored_cover_complement(
     }
     if rnd_cert is not None:
         cert["random_draw"] = rnd_cert
-    elementary = ElementarySet.from_cells(1, cells.reshape(-1, 1), g)
-    return DyadicCoverResult(elementary=elementary, cells=cells.reshape(-1, 1), g=g, certificate=cert)
+    return DyadicCoverResult(cells=cells.reshape(-1, 1), g=g, certificate=cert)
 
 
 def _anchored_random_draw(obligations, scale, allowed_lo, allowed_hi, budget_cells, seed, max_draws):

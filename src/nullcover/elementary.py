@@ -6,8 +6,9 @@ floating point.  Dimension one also gets one exact int64 kernel for "points
 + intervals, merged" (`merge_int`, `points_plus`, `first_gap`,
 `covered_measure`), on which the construction engine and the greedy covers
 run; `IntervalAccumulator` is its one-interval-at-a-time reference.  Higher
-dimensions only need disjoint-cell unions, which the covering module builds
-directly from integer cell sets.
+dimensions only need disjoint-cell unions, which the covering and fractal
+modules keep as integer cell sets, sorted and deduplicated on packed int64
+keys (`cell_keys`, `unique_cells`).
 """
 
 from __future__ import annotations
@@ -85,6 +86,28 @@ def covered_measure(starts: np.ndarray, ends: np.ndarray, a, b) -> np.ndarray:
         return np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
     cum = np.concatenate(([0], np.cumsum(ends - starts)[:-1]))
     return below(b) - below(a)
+
+
+def cell_keys(cells: np.ndarray, bits: int) -> np.ndarray:
+    """One int64 key per row of (n, d) integer cells in [0, 2^bits)^d, with
+    coordinate 0 most significant, so that sorting keys sorts the rows
+    lexicographically.  Needs d * bits <= 62; callers check it."""
+    keys = np.zeros(cells.shape[0], dtype=np.int64)
+    for col in cells.T:
+        keys = (keys << bits) | col
+    return keys
+
+
+def key_cells(keys: np.ndarray, d: int, bits: int) -> np.ndarray:
+    """The (n, d) cells of packed keys: the inverse of `cell_keys`."""
+    mask = (1 << bits) - 1
+    return np.stack([(keys >> (bits * (d - 1 - i))) & mask for i in range(d)], axis=1)
+
+
+def unique_cells(cells: np.ndarray, bits: int, lo: int = 0) -> np.ndarray:
+    """`np.unique(cells, axis=0)` for (n, d) integer cells in [lo, lo + 2^bits)^d,
+    on packed keys."""
+    return key_cells(np.unique(cell_keys(cells - lo, bits)), cells.shape[1], bits) + lo
 
 
 class IntervalAccumulator:

@@ -12,6 +12,9 @@ minimal ball-covering number only by dimensional constants, which every
 downstream threshold absorbs explicitly (the certificates repeat the 5^d
 constant they rely on).  The gauge content is the exact optimum over covers
 by dyadic cubes, computed bottom-up on the occupied cube tree.
+
+Cells and the cubes above them are packed int64 keys (`elementary.cell_keys`),
+so a set has d * k <= 62.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from nullcover.elementary import frac
+from nullcover.elementary import cell_keys, frac, key_cells, unique_cells
 
 
 class FractalError(ValueError):
@@ -33,7 +36,7 @@ class FractalError(ValueError):
 
 @dataclass
 class DyadicCubeSet:
-    """Occupied cells of the level-k dyadic grid on [0,1]^d."""
+    """Occupied cells of the level-k dyadic grid on [0,1]^d, d * k <= 62."""
 
     d: int
     k: int
@@ -41,11 +44,13 @@ class DyadicCubeSet:
     generator: Optional[dict] = None
 
     def __post_init__(self):
+        if self.d * self.k > 62:  # a cell is one int64 key of d * k bits
+            raise FractalError(f"d * k = {self.d * self.k} exceeds 62 bits of one int64 cell key")
         cells = np.asarray(self.cells, dtype=np.int64).reshape(-1, self.d)
         if cells.size:
             if cells.min() < 0 or cells.max() >= (1 << self.k):
                 raise FractalError("cells outside [0, 2^k)^d")
-            cells = np.unique(cells, axis=0)
+            cells = unique_cells(cells, self.k)
         self.cells = cells
 
     @property
@@ -56,7 +61,7 @@ class DyadicCubeSet:
         """Occupied cells of D_j (j <= k): unique prefixes."""
         if j > self.k:
             raise FractalError(f"level {j} below resolution {self.k}")
-        return np.unique(self.cells >> (self.k - j), axis=0)
+        return unique_cells(self.cells >> (self.k - j), j)
 
     def exact_boxes(self) -> Optional[list]:
         if self.generator and "boxes" in self.generator:
@@ -74,10 +79,7 @@ class DyadicCubeSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DyadicCubeSet":
-        return cls(
-            d=int(data["d"]), k=int(data["k"]), cells=np.array(data["cells"], dtype=np.int64),
-            generator=data.get("generator"),
-        )
+        return cls(d=int(data["d"]), k=int(data["k"]), cells=data["cells"], generator=data.get("generator"))
 
 
 @dataclass(frozen=True)
@@ -181,41 +183,30 @@ class LargenessProfile:
 # generators
 
 
-def _digit_boxes(base: int, digits_per_axis: Sequence[Sequence[int]], depth: int):
-    """Exact level-`depth` boxes of a base-b digit restriction."""
-    d = len(digits_per_axis)
-    axis_intervals = []
+def _digit_boxes(base: int, digits_per_axis: Sequence[Sequence[int]], depth: int) -> list[list[int]]:
+    """Exact level-`depth` boxes of a base-b digit restriction: per axis, the
+    numerators n of the intervals [n, n + 1] / b^depth, in digit order (the
+    first digit outermost)."""
+    axes = []
     for digits in digits_per_axis:
-        ivs = [(Fraction(0), Fraction(1))]
+        starts = [0]
         for _ in range(depth):
-            nxt = []
-            for lo, hi in ivs:
-                w = (hi - lo) / base
-                for dig in digits:
-                    nxt.append((lo + dig * w, lo + (dig + 1) * w))
-            ivs = nxt
-        axis_intervals.append(ivs)
-    boxes = [()]
-    for ivs in axis_intervals:
-        boxes = [b + (iv,) for b in boxes for iv in ivs]
-    return boxes
+            starts = [n * base + dig for n in starts for dig in digits]
+        axes.append(starts)
+    return axes
 
 
-def _rasterize_boxes(boxes, d: int, k: int) -> np.ndarray:
-    """Dyadic level-k cells overlapping any box with positive measure."""
-    w = Fraction(1, 1 << k)
-    out = set()
-    for box in boxes:
-        ranges = []
-        for lo, hi in box:
-            j0 = math.floor(lo / w)
-            j1 = math.ceil(hi / w) - 1  # cells j with j*w < hi and (j+1)*w > lo
-            ranges.append(range(max(j0, 0), min(j1 + 1, 1 << k)))
-        stack = [()]
-        for r in ranges:
-            stack = [s + (j,) for s in stack for j in r]
-        out.update(stack)
-    return np.array(sorted(out), dtype=np.int64).reshape(-1, d)
+def _rasterize_boxes(axes: list[list[int]], scale: int, k: int) -> np.ndarray:
+    """Dyadic level-k cells overlapping with positive measure a box whose
+    sides are the per-axis intervals [n, n + 1] / scale, every combination."""
+    ranges = []
+    for starts in axes:
+        hit = set()
+        for n in starts:
+            # cells j with j 2^-k < (n + 1) / scale and (j + 1) 2^-k > n / scale
+            hit.update(range(max((n << k) // scale, 0), min(-(-((n + 1) << k) // scale), 1 << k)))
+        ranges.append(np.array(sorted(hit), dtype=np.int64))
+    return np.stack([g.reshape(-1) for g in np.meshgrid(*ranges, indexing="ij")], axis=1)
 
 
 def generate_cantor(rule: dict, depth: int, max_cells: int = 1 << 22) -> DyadicCubeSet:
@@ -247,21 +238,24 @@ def generate_cantor(rule: dict, depth: int, max_cells: int = 1 << 22) -> DyadicC
             n_boxes *= len(ds) ** depth
         if n_boxes > max_cells:
             raise FractalError("depth cap exceeded")
-        boxes = _digit_boxes(base, digits, depth)
-        if base == 2 or (base & (base - 1)) == 0:
-            k = depth * int(math.log2(base))
+        axes = _digit_boxes(base, digits, depth)
+        scale = base**depth
+        if (base & (base - 1)) == 0:
+            k = depth * (base.bit_length() - 1)
         else:
-            k = 1
-            while Fraction(1, 1 << k) > Fraction(1, base**depth):
-                k += 1
-        cells = _rasterize_boxes(boxes, d, k)
+            k = max(1, (scale - 1).bit_length())  # the least k >= 1 with 2^-k <= base^-depth
+        boxes = [[]]
+        for starts in axes:
+            sides = [(str(Fraction(n, scale)), str(Fraction(n + 1, scale))) for n in starts]
+            boxes = [box + [[lo, hi]] for box in boxes for lo, hi in sides]
         gen = {
             "kind": "digits",
             "base": base,
             "digits": [list(ds) for ds in digits],
             "depth": depth,
-            "boxes": [[[str(lo), str(hi)] for lo, hi in box] for box in boxes],
+            "boxes": boxes,
         }
+        cells = _rasterize_boxes(axes, scale, k)
         return DyadicCubeSet(d=d, k=k, cells=cells, generator=gen)
     if rule.get("kind") == "sparse":
         sched = rule["schedule"][:depth]
@@ -371,55 +365,43 @@ def packing_number_exhaustive(points, delta) -> int:
 def hausdorff_content_dyadic(A: DyadicCubeSet, phi: GaugeFunction, delta) -> float:
     """Exact optimum of sum phi(side) over dyadic covers with side <= delta.
 
-    Bottom-up on the occupied tree: cost(Q at level j) = min(phi(2^-j),
-    sum of children costs), with the top-level min only over cubes of side
-    <= delta; cells at the raster resolution cost phi(2^-k).
+    One bottom-up pass over the occupied cube tree (`_node_costs`): a cell at
+    the raster resolution costs phi(2^-k), a cube at level j costs
+    min(phi(2^-j), sum of its children's costs), and the content is the sum
+    of the costs at the top level j_top, the coarsest with 2^-j_top <= delta.
+    Cubes are packed int64 keys, hence the d * k <= 62 bound of
+    `DyadicCubeSet`.
     """
     delta = frac(delta)
+    if delta <= 0:
+        raise FractalError(f"delta must be positive, got {delta}")
     if A.size == 0:
         return 0.0
-    j_top = 0
-    while Fraction(1, 1 << j_top) > delta:
-        j_top += 1
+    j_top = (-(-delta.denominator // delta.numerator) - 1).bit_length()  # least j with 2^-j <= delta
     if j_top > A.k:
         raise FractalError(f"delta {delta} below resolution 2^-{A.k}")
-    phi_at = {j: phi(Fraction(1, 1 << j)) for j in range(j_top, A.k + 1)}
+    # Python's sum adds left to right; np.sum's pairwise order would change the last bit
+    return sum(_node_costs(A, phi, j_top)[0][1].tolist())
 
-    cells = A.cells
-    k = A.k
 
-    def cost(rows: np.ndarray, level: int) -> float:
-        if level == k:
-            return phi_at[k] * rows.shape[0] if rows.ndim == 2 else phi_at[k]
-        prefix = rows >> (k - level - 1)
-        # group children by prefix at level+1
-        order = np.lexsort(prefix.T[::-1])
-        rows = rows[order]
-        prefix = prefix[order]
-        change = np.any(np.diff(prefix, axis=0) != 0, axis=1)
-        bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [rows.shape[0]]))
-        total = 0.0
-        for i in range(len(bounds) - 1):
-            total += cost_node(rows[bounds[i] : bounds[i + 1]], level + 1)
-        return total
+def _node_costs(A: DyadicCubeSet, phi: GaugeFunction, j_top: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(sorted cube keys, cube costs) of the occupied tree at every level from
+    j_top (entry 0) down to k.
 
-    def cost_node(rows: np.ndarray, level: int) -> float:
-        if level == k:
-            return phi_at[k]
-        children = cost(rows, level)
-        return min(phi_at[level], children)
-
-    # split the whole set into its level-j_top nodes and sum their node costs
-    if j_top == 0:
-        # a single (virtual) root cube of side 1
-        return cost_node(cells, 0)
-    prefix = cells >> (k - j_top)
-    order = np.lexsort(prefix.T[::-1])
-    cells_sorted = cells[order]
-    prefix = prefix[order]
-    change = np.any(np.diff(prefix, axis=0) != 0, axis=1) if prefix.shape[0] > 1 else np.array([], bool)
-    bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [cells_sorted.shape[0]]))
-    return float(sum(cost_node(cells_sorted[bounds[i] : bounds[i + 1]], j_top) for i in range(len(bounds) - 1)))
+    Going up a level, each cube's parent key is found and the children's
+    costs are added with `np.bincount`, in key order starting from 0.0, so
+    every cost is the same float a per-node recursion over lexicographically
+    sorted children would give.
+    """
+    k, d = A.k, A.d
+    keys = cell_keys(A.cells, k)
+    costs = np.full(keys.size, phi(Fraction(1, 1 << k)))
+    table = [(keys, costs)]
+    for j in range(k - 1, j_top - 1, -1):
+        keys, parent = np.unique(cell_keys(key_cells(keys, d, j + 1) >> 1, j), return_inverse=True)
+        costs = np.minimum(phi(Fraction(1, 1 << j)), np.bincount(parent, weights=costs))
+        table.append((keys, costs))
+    return table[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -540,42 +522,42 @@ def uniform_large_subset(
 
     delta_schedule[k] is delta_k for pruning level k (index 0 = level 1's
     parent counts at level 0); entries below the raster resolution are
-    rejected.  The decay hypothesis (2^{3kd+1} phi(delta_k) decreasing toward
-    zero) is checked on the finite schedule.
+    rejected, and so is an eta that is not finite and positive.  The decay
+    hypothesis (2^{3kd+1} phi(delta_k) decreasing toward zero) is checked on
+    the finite schedule.
+
+    Every restricted content comes from one bottom-up pass over A's cube
+    tree (`_node_costs`, so d * k <= 62): pruning removes whole cubes, so
+    the tree under a kept cube, and with it the cube's cost, is what it was
+    in A.  Pruning is a boolean mask over A's cells.
     """
-    d = A.d
+    if not (math.isfinite(eta) and eta > 0):
+        raise FractalError(f"eta must be finite and positive, got {eta}")
+    d, k = A.d, A.k
     deltas = [frac(x) for x in delta_schedule]
     for dk in deltas:
-        if dk < Fraction(1, 1 << A.k):
-            raise FractalError(f"schedule scale {dk} below resolution 2^-{A.k}")
-    hyp = [2.0 ** (3 * k * d + 1) * phi(deltas[k]) for k in range(len(deltas))]
-    bad = [k for k in range(1, len(hyp)) if hyp[k] >= hyp[k - 1]]
+        if dk < Fraction(1, 1 << k):
+            raise FractalError(f"schedule scale {dk} below resolution 2^-{k}")
+    hyp = [2.0 ** (3 * lvl * d + 1) * phi(deltas[lvl]) for lvl in range(len(deltas))]
+    bad = [lvl for lvl in range(1, len(hyp)) if hyp[lvl] >= hyp[lvl - 1]]
     if bad:
         raise FractalError(f"decay hypothesis fails at schedule indices {bad}: "
                            f"2^(3kd+1) phi(delta_k) must decrease")
-    total = hausdorff_content_dyadic(A, phi, Fraction(1))
+    table = _node_costs(A, phi, 0)
+    total = sum(table[0][1].tolist(), 0.0)
     if total < eta:
         raise FractalError(f"content below eta: {total} < {eta}")
     levels = len(deltas)
-    if levels > A.k:
+    if levels > k:
         raise FractalError("schedule deeper than the raster resolution")
-    # iterative pruning
-    current = A.cells
+    keep = np.ones(A.size, dtype=bool)
     for lvl in range(1, levels):
-        eta_l = 2.0 ** (-3 * lvl * d) * eta
-        keep_rows = []
-        prefixes = current >> (A.k - lvl)
-        uniq = np.unique(prefixes, axis=0)
-        for q in uniq:
-            sel = np.all(prefixes == q, axis=1)
-            sub = DyadicCubeSet(d=d, k=A.k, cells=current[sel])
-            c = hausdorff_content_dyadic(sub, phi, Fraction(1, 1 << lvl))
-            if c > eta_l:
-                keep_rows.append(current[sel])
-        if not keep_rows:
+        keys, costs = table[lvl]
+        cube = np.searchsorted(keys, cell_keys(A.cells >> (k - lvl), lvl))
+        keep &= costs[cube] > 2.0 ** (-3 * lvl * d) * eta
+        if not keep.any():
             raise FractalError(f"all level-{lvl} cubes pruned (content below eta_{lvl})")
-        current = np.concatenate(keep_rows, axis=0)
-    pruned = DyadicCubeSet(d=d, k=A.k, cells=current, generator=A.generator)
+    pruned = DyadicCubeSet(d=d, k=k, cells=A.cells[keep], generator=A.generator)
     # certificates
     n_values = []
     per_cube = {}
@@ -584,18 +566,10 @@ def uniform_large_subset(
         dk = deltas[lvl]
         nk = eta / (2.0 ** (3 * lvl * d + 1) * phi(dk))
         n_values.append(nk)
-        counts = []
-        for q in np.unique(pruned.cells >> (A.k - lvl), axis=0) if lvl > 0 else [np.zeros(d, np.int64)]:
-            if lvl > 0:
-                sel = np.all(pruned.cells >> (A.k - lvl) == q, axis=1)
-                sub_cells = pruned.cells[sel]
-            else:
-                sub_cells = pruned.cells
-            cnt = _grid_count_cells(sub_cells, A.k, dk, d)
-            counts.append((tuple(int(x) for x in q), cnt))
-            if cnt < nk:
-                passed = False
-        per_cube[lvl] = counts
+        keys, cube = np.unique(cell_keys(pruned.cells >> (k - lvl), lvl), return_inverse=True)
+        counts = _grid_counts(pruned, cube, keys.size, lvl, dk)
+        per_cube[lvl] = list(zip(map(tuple, key_cells(keys, d, lvl).tolist()), counts))
+        passed = passed and min(counts) >= nk
     cert = LargenessCertificate(
         eta=eta,
         phi=phi.to_json_dict(),
@@ -609,16 +583,18 @@ def uniform_large_subset(
     return pruned, n_values, cert
 
 
-def _grid_count_cells(cells: np.ndarray, k: int, delta: Fraction, d: int) -> int:
-    """Count of side-delta grid cells overlapping the raster cells (positive measure)."""
-    if cells.shape[0] == 0:
-        return 0
+def _grid_counts(A: DyadicCubeSet, cube: np.ndarray, n_cubes: int, lvl: int, delta: Fraction) -> list[int]:
+    """Per level-lvl cube (row i of A.cells lies in cube[i]): the count of
+    side-delta grid cells overlapping its raster cells (positive measure)."""
     if delta.numerator == 1 and (delta.denominator & (delta.denominator - 1)) == 0:
-        g = delta.denominator.bit_length() - 1
-        if g <= k:
-            return int(np.unique(cells >> (k - g), axis=0).shape[0])
-    sub = DyadicCubeSet(d=d, k=k, cells=cells)
-    return covering_number(sub, delta)
+        g = max(delta.denominator.bit_length() - 1, lvl)  # a cube inside one grid cell counts 1
+        if g <= A.k:  # now a grid cell lies inside one cube
+            _, first = np.unique(cell_keys(A.cells >> (A.k - g), g), return_index=True)
+            return np.bincount(cube[first], minlength=n_cubes).tolist()
+    order = np.argsort(cube, kind="stable")
+    split = np.cumsum(np.bincount(cube, minlength=n_cubes))[:-1]
+    return [covering_number(DyadicCubeSet(d=A.d, k=A.k, cells=sub), delta)
+            for sub in np.split(A.cells[order], split)]
 
 
 # ---------------------------------------------------------------------------

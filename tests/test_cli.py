@@ -118,6 +118,14 @@ class TestDimension:
         est = json.loads(outtext)
         assert abs(est["value"] - 1.0) < 0.1
 
+    @pytest.mark.parametrize("d, k", [(1, 63), (2, 32)])
+    def test_set_beyond_key_width_exit_2(self, capsys, tmp_path, d, k):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"d": d, "k": k, "cells": [[1] * d]}))
+        code, _, err = run(capsys, "dimension", "--set", str(path))
+        assert code == 2
+        assert "Traceback" not in err and "exceeds 62" in err
+
 
 @pytest.mark.parametrize("argv", [
     ("dimension", "--digits", "a,b"),

@@ -272,6 +272,16 @@ class TestDyadicCover:
         assert res.certificate["coverage_complete"]
         assert Fraction(res.certificate["measure"]) <= Fraction(9, 10)
 
+    @pytest.mark.parametrize("d, g, pe, point, match", [
+        (3, 20, 22, [0, 0, 0], "exceeds 62"),  # one int64 key per h-cell: d * (g + 1) <= 62
+        (1, 8, 9, [512], "outside"),
+        (2, 6, 7, [3, -1], "outside"),
+    ])
+    def test_input_errors(self, d, g, pe, point, match):
+        fam = SetFamily(d=d, kind="cube", point_exponent=pe, members=[[point]])
+        with pytest.raises(CoverError, match=match):
+            dyadic_cover_complement(fam, g=g, eps=Fraction(9, 10), seed=5)
+
     def test_threshold_error_lists_counts(self):
         rng = np.random.default_rng(23)
         fam = SetFamily(

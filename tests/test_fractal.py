@@ -1,5 +1,6 @@
 """Cantor generators, counting, gauge content DP, largeness, dimension."""
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -12,6 +13,7 @@ from nullcover.fractal import (
     FractalError,
     GaugeFunction,
     IntervalUnion,
+    LargenessCertificate,
     LargenessProfile,
     covering_number,
     generate_cantor,
@@ -71,6 +73,16 @@ class TestGenerateCantor:
         A = generate_cantor(MIDDLE_THIRDS, depth=3)
         B = DyadicCubeSet.from_json_dict(A.to_json_dict())
         assert np.array_equal(A.cells, B.cells) and A.k == B.k
+
+    @pytest.mark.parametrize("d, k", [(1, 63), (2, 32), (3, 21)])
+    def test_cell_key_width(self, d, k):
+        # a cell is one int64 key of d * k <= 62 bits
+        with pytest.raises(FractalError, match="exceeds 62"):
+            DyadicCubeSet(d=d, k=k, cells=np.zeros((1, d), dtype=np.int64))
+        with pytest.raises(FractalError, match="exceeds 62"):
+            DyadicCubeSet.from_json_dict({"d": d, "k": k, "cells": [[(1 << k) - 1] * d]})
+        A = DyadicCubeSet(d=d, k=62 // d, cells=[[(1 << (62 // d)) - 1] * d, [0] * d])
+        assert A.cells.tolist() == [[0] * d, [(1 << (62 // d)) - 1] * d]
 
 
 class TestCoveringNumber:
@@ -185,6 +197,172 @@ def brute_force_content(A: DyadicCubeSet, phi, delta) -> float:
     return sum(best(A.cells[np.all(prefixes == q, axis=1)], j_top) for q in uniq)
 
 
+# ---------------------------------------------------------------------------
+# exact oracles: the per-node recursion, the per-cube pruning loop and the
+# Fraction digit chain that the packed-key code replaced
+
+
+def recursive_content(A: DyadicCubeSet, phi, delta) -> float:
+    """Per-node recursion over lexsorted children, one subtree at a time."""
+    delta = Fraction(delta)
+    if A.size == 0:
+        return 0.0
+    j_top = 0
+    while Fraction(1, 1 << j_top) > delta:
+        j_top += 1
+    k = A.k
+    phi_at = {j: phi(Fraction(1, 1 << j)) for j in range(j_top, k + 1)}
+
+    def groups(rows, level):
+        prefix = rows >> (k - level)
+        order = np.lexsort(prefix.T[::-1])
+        rows, prefix = rows[order], prefix[order]
+        change = np.any(np.diff(prefix, axis=0) != 0, axis=1)
+        bounds = np.concatenate(([0], np.flatnonzero(change) + 1, [rows.shape[0]]))
+        return [rows[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
+
+    def cost_node(rows, level):
+        if level == k:
+            return phi_at[k]
+        total = 0.0
+        for child in groups(rows, level + 1):
+            total += cost_node(child, level + 1)
+        return min(phi_at[level], total)
+
+    if j_top == 0:
+        return cost_node(A.cells, 0)
+    return float(sum(cost_node(rows, j_top) for rows in groups(A.cells, j_top)))
+
+
+def pruning_oracle(A: DyadicCubeSet, phi, eta, deltas):
+    """Pruned cells and certificate JSON by per-cube scans and one recursive
+    content per retained cube."""
+    d, k = A.d, A.k
+    levels = len(deltas)
+    current = A.cells
+    for lvl in range(1, levels):
+        keep_rows = []
+        prefixes = current >> (k - lvl)
+        for q in np.unique(prefixes, axis=0):
+            sel = np.all(prefixes == q, axis=1)
+            sub = DyadicCubeSet(d=d, k=k, cells=current[sel])
+            if recursive_content(sub, phi, Fraction(1, 1 << lvl)) > 2.0 ** (-3 * lvl * d) * eta:
+                keep_rows.append(current[sel])
+        current = np.concatenate(keep_rows, axis=0)
+    pruned = np.unique(current, axis=0)
+    n_values, per_cube, passed = [], {}, True
+    for lvl in range(levels):
+        dk = deltas[lvl]
+        nk = eta / (2.0 ** (3 * lvl * d + 1) * phi(dk))
+        n_values.append(nk)
+        counts = []
+        cubes = np.unique(pruned >> (k - lvl), axis=0) if lvl else [np.zeros(d, np.int64)]
+        for q in cubes:
+            sub = pruned[np.all(pruned >> (k - lvl) == q, axis=1)] if lvl else pruned
+            g = dk.denominator.bit_length() - 1
+            if dk == Fraction(1, 1 << g):
+                cnt = int(np.unique(sub >> (k - g), axis=0).shape[0])
+            else:
+                cnt = covering_number(DyadicCubeSet(d=d, k=k, cells=sub), dk)
+            counts.append((tuple(int(x) for x in q), cnt))
+            passed = passed and cnt >= nk
+        per_cube[lvl] = counts
+    cert = LargenessCertificate(
+        eta=eta, phi=phi.to_json_dict(),
+        schedule=[(lvl, deltas[lvl], n_values[lvl]) for lvl in range(levels)],
+        per_cube_counts=per_cube, pruned_levels=levels, passed=passed,
+        notes="grid covering counts; N_k = eta/(2^(3kd+1) phi(delta_k)); "
+        "content restricted to dyadic covers",
+    )
+    return pruned, cert.to_json_dict()
+
+
+def fraction_chain_boxes(base, digits_per_axis, depth):
+    """Level-depth boxes of a digit rule, refined one Fraction interval at a time."""
+    axis_intervals = []
+    for digits in digits_per_axis:
+        ivs = [(Fraction(0), Fraction(1))]
+        for _ in range(depth):
+            ivs = [(lo + dig * (hi - lo) / base, lo + (dig + 1) * (hi - lo) / base)
+                   for lo, hi in ivs for dig in digits]
+        axis_intervals.append(ivs)
+    boxes = [()]
+    for ivs in axis_intervals:
+        boxes = [b + (iv,) for b in boxes for iv in ivs]
+    return boxes
+
+
+def fraction_raster(boxes, d, k):
+    """Level-k cells meeting some box with positive measure, box by box."""
+    w = Fraction(1, 1 << k)
+    out = set()
+    for box in boxes:
+        stack = [()]
+        for lo, hi in box:
+            r = range(max(math.floor(lo / w), 0), min(math.ceil(hi / w), 1 << k))
+            stack = [s + (j,) for s in stack for j in r]
+        out.update(stack)
+    return np.array(sorted(out), dtype=np.int64).reshape(-1, d)
+
+
+class TestExactOracles:
+    GAUGES = [GaugeFunction.power(0.45), GaugeFunction.power(1.3), GaugeFunction.power(2.6),
+              GaugeFunction.log_power(1.5),
+              GaugeFunction(kind="tabulated", table=(("1/64", 0.01), ("1/8", 0.2), ("1/2", 0.5)))]
+
+    @pytest.mark.parametrize("d, k", [(1, 9), (2, 5), (3, 3)])
+    def test_content_equals_recursion(self, d, k):
+        rng = np.random.default_rng(11 + d)
+        for trial in range(24):
+            n = int(rng.integers(1, 1 << (d * k - 1)))
+            A = DyadicCubeSet(d=d, k=k, cells=rng.integers(0, 1 << k, (n, d)))
+            phi = self.GAUGES[trial % len(self.GAUGES)]
+            top = 1 if phi.kind == "log_power" else 0  # log-power gauges stop at 1/2
+            for j in range(top, k + 1):
+                delta = Fraction(1, 1 << j)
+                assert hausdorff_content_dyadic(A, phi, delta) == recursive_content(A, phi, delta)
+            delta = Fraction(2, 7)  # between dyadic levels
+            assert hausdorff_content_dyadic(A, phi, delta) == recursive_content(A, phi, delta)
+
+    @pytest.mark.parametrize("digits, exponents", [
+        ([0, 1], [1, 7, 13]), ([0, 2], [1, 7, 13]), ([1, 2], [1, 7, 13]), ([0, 2], [None, 7, 13]),
+    ])
+    def test_pruning_equals_per_cube_loop(self, digits, exponents):
+        # the largeness requests of the certify benchmark; None is delta = 1/3
+        A = generate_cantor({"kind": "digits", "base": 3, "digits": digits}, depth=8)
+        phi = GaugeFunction.power(0.7)
+        sched = [Fraction(1, 3) if g is None else Fraction(1, 1 << g) for g in exponents]
+        pruned, _, cert = uniform_large_subset(A, phi, 0.3, sched)
+        cells, data = pruning_oracle(A, phi, 0.3, sched)
+        assert np.array_equal(pruned.cells, cells)
+        assert json.dumps(cert.to_json_dict()) == json.dumps(data)
+
+    def test_pruning_equals_per_cube_loop_2d(self):
+        # a dense quadrant and a few stray cells, which the pruning drops
+        rng = np.random.default_rng(5)
+        cells = np.concatenate([rng.integers(0, 32, (700, 2)), rng.integers(0, 64, (6, 2))])
+        A = DyadicCubeSet(d=2, k=6, cells=cells)
+        phi = GaugeFunction.power(1.5)
+        sched = [Fraction(1, 2), Fraction(1, 64)]
+        pruned, _, cert = uniform_large_subset(A, phi, 0.3, sched)
+        cells, data = pruning_oracle(A, phi, 0.3, sched)
+        assert 0 < pruned.size < A.size
+        assert np.array_equal(pruned.cells, cells)
+        assert json.dumps(cert.to_json_dict()) == json.dumps(data)
+
+    @pytest.mark.parametrize("base, digits, depth", [
+        (3, [[0, 2]], 5), (3, [[1, 2], [0, 1]], 3), (5, [[0, 2, 4]], 4), (5, [[1, 3], [0, 4]], 3),
+        (4, [[0, 3]], 3),
+    ])
+    def test_generator_boxes_equal_fraction_chain(self, base, digits, depth):
+        A = generate_cantor({"kind": "digits", "base": base, "digits": digits}, depth=depth)
+        boxes = fraction_chain_boxes(base, digits, depth)
+        assert A.generator["boxes"] == [[[str(lo), str(hi)] for lo, hi in box] for box in boxes]
+        assert A.exact_boxes() == boxes
+        assert np.array_equal(A.cells, fraction_raster(boxes, len(digits), A.k))
+
+
+
 class TestContent:
     def test_full_cube_power_d(self):
         for d in (1, 2):
@@ -218,6 +396,12 @@ class TestContent:
                 for delta in (Fraction(1), Fraction(1, 2)):
                     got = hausdorff_content_dyadic(A, phi, delta)
                     assert got == pytest.approx(brute_force_content(A, phi, delta))
+
+    @pytest.mark.parametrize("delta", [0, -1, Fraction(-1, 4)])
+    def test_nonpositive_delta_error(self, delta):
+        A = generate_cantor(MIDDLE_THIRDS, depth=3)
+        with pytest.raises(FractalError, match="delta must be positive"):
+            hausdorff_content_dyadic(A, GaugeFunction.power(0.5), delta)
 
     def test_monotone_in_subset_and_delta(self):
         A = generate_cantor(MIDDLE_THIRDS, depth=4)
@@ -316,6 +500,14 @@ class TestUniformLargeness:
                 recount = int(np.unique(sub >> (pruned.k - g), axis=0).shape[0])
                 assert recount == cnt
                 assert cnt >= n_values[lvl]
+
+    @pytest.mark.parametrize("eta", [0, 0.0, -1, float("nan"), float("inf")])
+    def test_eta_must_be_finite_and_positive(self, eta):
+        # eta <= 0 used to certify N_k <= 0, and NaN failed as "all cubes pruned"
+        A = generate_cantor(MIDDLE_THIRDS, depth=8)
+        sched = [Fraction(1, 1 << g) for g in (1, 7, 13)]
+        with pytest.raises(FractalError, match="eta must be finite and positive"):
+            uniform_large_subset(A, GaugeFunction.power(0.7), eta, sched)
 
     def test_hypothesis_violation_reported(self):
         A = generate_cantor({"kind": "digits", "base": 2, "digits": [0, 1]}, depth=6)
