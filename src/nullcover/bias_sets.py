@@ -474,7 +474,9 @@ def build_patch_template(
     `wraps` lists the integer multiples of m that the integer-sum argument
     needs (tau with a_cell + b_cell = target_cell + tau*m); the final cell
     budget is len(wraps) * 2 * eta_prop * m <= eta * m, i.e.
-    eta_prop = eta / (2 * len(wraps)).
+    eta_prop = eta / (2 * len(wraps)).  m is the smallest admissible field
+    size >= min_m whose coverage threshold fits in its m cells; when a field
+    falls short, the next one starts above it and is recorded as m0.
     """
     eta = frac(eta)
     eps = frac(eps)
@@ -482,21 +484,26 @@ def build_patch_template(
     eta_prop = eta / (2 * n_wraps)
     if eta_prop > Fraction(1, 3):
         eta_prop = Fraction(1, 3)
-    k, s = choose_patch_k(eta_prop, min_m, cap=cap)
-    params = PropositionParams(eta=eta_prop, m0=min_m, d=1, k=k, s=s)
-    comp = build_bias_complement(params, cap=cap)
-    m = params.m
+    m0 = min_m
+    while True:
+        k, s = choose_patch_k(eta_prop, m0, cap=cap)
+        params = PropositionParams(eta=eta_prop, m0=m0, d=1, k=k, s=s)
+        comp = build_bias_complement(params, cap=cap)
+        m = params.m
+        k_b = comp.lemma_constant
+        nz = coverage_threshold(k_b, eps)
+        if nz <= m:
+            break
+        if 2 * m > cap:  # every admissible field above m exceeds the cap
+            raise ParameterError(
+                f"coverage threshold {nz} exceeds cell capacity m = {m}, "
+                f"and no field above m fits the cap {cap}; increase eps"
+            )
+        m0 = m + 1
     prop_cells = comp.codes  # codes in [0, m) are exactly the cell indices
     nbr = np.unique(np.concatenate([prop_cells, prop_cells - 1]))
     cells = np.unique(np.concatenate([nbr + t * m for t in wraps]))
     budget = int(eta * m)
-    k_b = comp.lemma_constant
-    nz = coverage_threshold(k_b, eps)
-    if nz > m:
-        raise ParameterError(
-            f"coverage threshold {nz} exceeds cell capacity m = {m}; "
-            f"increase min_m or eps"
-        )
     tpl = PatchTemplate(
         eta=eta,
         eps=eps,

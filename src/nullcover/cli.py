@@ -23,8 +23,6 @@ import sys
 import tempfile
 from fractions import Fraction
 
-import numpy as np
-
 
 def _positive_rational(text: str) -> Fraction:
     try:

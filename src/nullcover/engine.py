@@ -32,23 +32,15 @@ the reference thresholds are still computed and recorded with their margins.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from nullcover.bias_sets import (
-    ParameterError,
-    PatchTemplate,
-    build_patch_template,
-    coverage_threshold,
-    spec_threshold_constant,
-)
-from nullcover.covering import CoverError, greedy_piece_cover
-from nullcover.fractal import _directed_h_intervals as _directed_hausdorff_intervals
 from nullcover.elementary import (
     ElementarySet,
     first_gap,
@@ -57,6 +49,37 @@ from nullcover.elementary import (
     merge_intervals,
 )
 from nullcover.elementary import points_plus as _covered_union
+
+if TYPE_CHECKING:
+    from nullcover.bias_sets import PatchTemplate
+
+# Names the engine calls from the rrp half (covering, fractal) and from the
+# cascade half (bias_sets, which brings gf and groups), imported on first use
+# so that a run loads only its own half.  They stay module attributes looked
+# up at call time, so a wrapper set on `engine.<name>` sees every call.
+_LAZY = {
+    "greedy_piece_cover": ("nullcover.covering", "greedy_piece_cover"),
+    "_directed_hausdorff_intervals": ("nullcover.fractal", "_directed_h_intervals"),
+    "ParameterError": ("nullcover.bias_sets", "ParameterError"),
+    "build_patch_template": ("nullcover.bias_sets", "build_patch_template"),
+}
+
+
+def __getattr__(name):
+    try:
+        module, attr = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), attr)
+    globals()[name] = value
+    return value
+
+
+def _bind(*names: str) -> None:
+    """Import the lazy names a function calls; a name already bound stays."""
+    for name in names:
+        if name not in globals():
+            __getattr__(name)
 
 
 class EngineError(ValueError):
@@ -273,6 +296,7 @@ def rrp_step(
     log((delta')^-1 M(delta'))) is computed and recorded with its margin,
     and the construction is verified exactly either way.
     """
+    _bind("greedy_piece_cover")
     q_lo, q_hi, a, eps = frac(q_lo), frac(q_hi), frac(a), frac(eps)
     side = q_hi - q_lo
     if side <= 0:
@@ -348,6 +372,7 @@ def rrp_run(
     width 2^-w used at step j (longer pieces keep the component count of K_j
     compatible with the 2 delta_j-neighborhood bound).
     """
+    _bind("greedy_piece_cover", "_directed_hausdorff_intervals")
     points = sorted(frac(p) for p in points)
     a0 = points[0]
     if r_bounds is None:
@@ -513,6 +538,7 @@ def verify_rrp_trace(data: dict) -> dict:
     hold [0, 1], for every map; over all records the Delta-tail.  A point,
     image or endpoint off the 1/D frame raises EngineError.
     """
+    _bind("_directed_hausdorff_intervals")
     meta = data["meta"]
     family = FunctionFamily.from_json_dict(meta["family"])
     points = [Fraction(p) for p in meta["points"]]
@@ -625,6 +651,7 @@ def full_measure_run(
     arithmetic and the per-stage cyclic coverage certificates come from the
     Walsh-Hadamard-exact bias of the underlying k-th power sets.
     """
+    _bind("ParameterError", "build_patch_template")
     if depth < 1:
         raise EngineError(f"full-measure depth must be >= 1, got {depth}")
     eps = frac(eps)

@@ -258,6 +258,15 @@ class TestPatchTemplate:
         k, s = choose_patch_k(Fraction(1, 12), 30000)
         assert (k, s) == (17, 1)
 
+    def test_field_grows_until_threshold_fits(self):
+        # eps = 1/32 needs 4455 cells from the k = 13, m = 2^12 field; the
+        # next admissible field, k = 17 with m = 2^16, needs 7941 and fits
+        tpl = build_patch_template(Fraction(1, 2), Fraction(1, 32), wraps=(-1, 0, 1), min_m=2)
+        assert (tpl.params.k, tpl.m, tpl.params.m0) == (17, 65536, 4097)
+        assert tpl.threshold_nz == 7941
+        with pytest.raises(ParameterError, match="coverage threshold 4455 exceeds cell capacity m = 4096"):
+            build_patch_template(Fraction(1, 2), Fraction(1, 32), wraps=(-1, 0, 1), min_m=2, cap=4096)
+
     def test_template_budget_and_bias(self):
         tpl = build_patch_template(Fraction(1, 2), Fraction(1, 4), wraps=(-1, 0, 1), min_m=64)
         assert tpl.cell_count <= tpl.budget_cells

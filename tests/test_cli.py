@@ -184,6 +184,16 @@ class TestTraces:
         code, _, _ = run(capsys, "verify", str(trace))
         assert code == 1
 
+    def test_full_measure_depth4(self, capsys, tmp_path):
+        trace = tmp_path / "fm.json"
+        args = ("full-measure", "--depth", "4", "--spacing-exp", "60", "--out", str(trace))
+        assert run(capsys, *args)[0] == 0
+        assert run(capsys, "verify", str(trace))[0] == 0
+        # the default 2^-50 grid is too coarse for the stage-4 cells
+        code, _, err = run(capsys, "full-measure", "--depth", "4", "--out", str(trace))
+        assert code == 1
+        assert "grid spacing 2^-50 coarser than operative cells 2^-56" in err
+
     @pytest.mark.parametrize("depth", [0, -1])
     def test_full_measure_depth_below_one_fails_verify(self, capsys, tmp_path, depth):
         trace = tmp_path / "fm.json"

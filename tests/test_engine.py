@@ -23,6 +23,7 @@ from nullcover.engine import (
     middle_thirds_points,
     rrp_run,
     rrp_step,
+    verify_full_measure_trace,
     verify_rrp_trace,
 )
 
@@ -251,6 +252,20 @@ class TestFullMeasure:
             bound = Fraction(s.checks["uncovered_bound"])
             assert bound == (1 - Fraction(1, 1 << s.j)) * Fraction(1, 2)
             assert Fraction(s.checks["uncovered_value"]) <= bound
+
+    def test_depth4_takes_the_next_field_that_fits(self):
+        # stage 4 needs 4455 A-cells at eps_j = 1/32, more than the m = 4096
+        # of the min_m = 2 field, so it moves to k = 17, m = 2^16; its cells
+        # at level 40 + 16 = 56 need a grid at least that fine
+        grid = GridSet(spacing_exponent=60, region=[(Fraction(0), Fraction(1, 2))])
+        trace = full_measure_run(grid, Fraction(1, 2), depth=4)
+        assert trace.passed
+        params = [s.template_cert["params"] for s in trace.steps[1:]]
+        assert [p["m0"] for p in params] == [2, 2, 2, 4097]
+        assert [p["m"] for p in params] == [65536, 4096, 4096, 65536]
+        last = trace.steps[-1]
+        assert last.cube_level == 56 and last.checks["threshold_nz"] <= 65536
+        assert verify_full_measure_trace(trace.to_json_dict())["passed"]
 
     def test_largeness_error_names_requirement(self):
         coarse = GridSet(spacing_exponent=12, region=[(Fraction(0), Fraction(1, 2))])
