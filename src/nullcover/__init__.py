@@ -18,16 +18,14 @@ _EXPORTS = {
     "gf": """FieldSpec FieldElement make_field kth_power_set kth_power_codes
         to_coordinates coordinate_subset""",
     "bias_sets": """PropositionParams SignedBoxSet select_parameters build_bias_complement
-        verify_coverage_bound lift_to_signed_box coverage_threshold
-        continuous_patch_complement""",
+        verify_coverage_bound lift_to_signed_box coverage_threshold""",
     "covering": """SetFamily size_threshold random_cover_complement lift_cover_to_box
-        dyadic_cover_complement anchored_cover_complement""",
-    "fractal": """DyadicCubeSet GaugeFunction LargenessProfile generate_cantor
+        dyadic_cover_complement""",
+    "fractal": """DyadicCubeSet GaugeFunction generate_cantor
         covering_number packing_number_greedy hausdorff_content_dyadic
         hausdorff_distance uniform_large_subset log_dimension_estimate""",
-    "elementary": "ElementarySet",
     "engine": """AffineMap FunctionFamily ConstructionTrace GridSet family_covering_number
-        middle_thirds_points rrp_step rrp_run full_measure_run verify_rrp_trace
+        middle_thirds_points rrp_run full_measure_run verify_rrp_trace
         verify_full_measure_trace""",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}

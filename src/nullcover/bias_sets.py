@@ -16,8 +16,9 @@ bounds are recorded for each (A, B) pair:
   the worst case, and small A violate it at q = 4.  It is checked and
   reported honestly, never assumed.
 
-The continuous patch construction works on one dyadic cube in d = 1: the
-cube [0, r] is split into m cells, the Gauss complement covers all but an
+A patch template (`build_patch_template`, which each stage of the
+full-measure cascade builds) works on one dyadic cube in d = 1: the cube
+[0, r] is split into m cells, the Gauss complement covers all but an
 eps-fraction of the cyclic cell group, and neighbor expansion ({0,-1}) plus
 the wrap translates tau*m turn cyclic coverage into interval coverage of
 a0 + Q for every sufficiently dense A.  Cell counts make all measure bounds
@@ -433,9 +434,6 @@ class PatchTemplate:
     def cell_count(self) -> int:
         return int(self.cells.size)
 
-    def measure(self, side: Fraction) -> Fraction:
-        return Fraction(self.cell_count) * side / self.m
-
     def cyclic_uncovered(self, a_cells: np.ndarray) -> int:
         """Exact count of residues of Z_m not covered by a_cells + prop_cells."""
         a, b = np.zeros((2, self.m), dtype=bool)
@@ -520,88 +518,3 @@ def build_patch_template(
     if tpl.cell_count > budget:
         raise ParameterError(f"template cell count {tpl.cell_count} exceeds budget {budget}")
     return tpl
-
-
-@dataclass
-class PatchComplement:
-    """continuous_patch_complement result: absolute cells plus certificates."""
-
-    cube_corner: Fraction
-    side: Fraction
-    template: PatchTemplate
-    delta_requested: Fraction
-    delta_operative: Fraction
-
-    def intervals(self) -> list[tuple[Fraction, Fraction]]:
-        w = self.side / self.template.m
-        out = []
-        run_start = None
-        prev = None
-        for c in self.template.cells:
-            if prev is not None and c == prev + 1:
-                prev = c
-                continue
-            if run_start is not None:
-                out.append((self.cube_corner + run_start * w, self.cube_corner + (prev + 1) * w))
-            run_start = int(c)
-            prev = int(c)
-        if run_start is not None:
-            out.append((self.cube_corner + run_start * w, self.cube_corner + (prev + 1) * w))
-        return out
-
-    @property
-    def measure(self) -> Fraction:
-        return self.template.measure(self.side)
-
-    def certificate(self) -> dict:
-        cert = self.template.certificate()
-        cert.update(
-            {
-                "kind": "patch_complement",
-                "cube_corner": str(self.cube_corner),
-                "side": str(self.side),
-                "delta_requested": str(self.delta_requested),
-                "delta_operative": str(self.delta_operative),
-                "measure": str(self.measure),
-                "measure_bound": str(self.template.eta * self.side),
-                "measure_ok": self.measure <= self.template.eta * self.side,
-            }
-        )
-        return cert
-
-
-def continuous_patch_complement(
-    cube_corner,
-    side,
-    delta,
-    eta,
-    eps,
-    cap: int = DEFAULT_FIELD_CAP,
-) -> PatchComplement:
-    """Union of equal dyadic cells B within 4Q, |B| <= eta |Q|, covering
-    a0 + Q up to an eps-fraction for every dense enough A in [0, side].
-
-    A is dense enough when its grid count at the operative cell width
-    (side/m <= delta) is at least the template's threshold; the guarantee is
-    then exact by the cyclic certificate.  d = 1; higher dimension exceeds
-    the field cap for every admissible eta and raises ParameterError.
-    """
-    side = frac(side)
-    delta = frac(delta)
-    eta = frac(eta)
-    eps = frac(eps)
-    if delta <= 0 or side <= 0:
-        raise ParameterError("side and delta must be positive")
-    if delta > side:
-        raise ParameterError("delta larger than the cube side")
-    min_m = int(side / delta) if side / delta == int(side / delta) else int(side / delta) + 1
-    # target a0 + Q with Q anywhere and A in [0, side]: offsets span 3 cube
-    # sides, wraps {-1, 0, 1}
-    tpl = build_patch_template(eta, eps, wraps=(-1, 0, 1), min_m=min_m, cap=cap)
-    return PatchComplement(
-        cube_corner=frac(cube_corner),
-        side=side,
-        template=tpl,
-        delta_requested=delta,
-        delta_operative=side / tpl.m,
-    )

@@ -308,7 +308,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (FileNotFoundError, UsageError) as exc:
+    except (OSError, UsageError) as exc:  # a missing, unreadable or directory input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

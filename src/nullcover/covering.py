@@ -70,7 +70,7 @@ class SetFamily:
     Grid members are (n_i, d) integer arrays with entries in [0, N).  Cube
     members are (n_i, d) integer arrays of dyadic coordinates at resolution
     2^-point_exponent (the row x stands for the point x * 2^-point_exponent).
-    Anchors, when present, index a row of each member.
+    A non-integral coordinate is a CoverError, never truncated.
     """
 
     d: int
@@ -78,7 +78,6 @@ class SetFamily:
     N: Optional[int] = None
     point_exponent: Optional[int] = None
     members: list = field(default_factory=list)
-    anchors: Optional[list[int]] = None
 
     def __post_init__(self):
         if self.kind not in ("grid", "cube"):
@@ -87,17 +86,11 @@ class SetFamily:
             raise CoverError("grid family needs N >= 1")
         if self.kind == "cube" and self.point_exponent is None:
             raise CoverError("cube family needs a point resolution exponent")
-        self.members = [np.asarray(m, dtype=np.int64).reshape(-1, self.d) for m in self.members]
+        self.members = [_integer_rows(m, self.d) for m in self.members]
         if self.kind == "grid":
             for m in self.members:
                 if m.size and (m.min() < 0 or m.max() >= self.N):
                     raise CoverError("grid member outside [0, N)^d")
-        if self.anchors is not None:
-            if len(self.anchors) != len(self.members):
-                raise CoverError("one anchor per member required")
-            for a, m in zip(self.anchors, self.members):
-                if not (0 <= a < m.shape[0]):
-                    raise CoverError("anchor index out of range")
 
     def to_json_dict(self) -> dict:
         out = {"d": self.d, "kind": self.kind, "members": [m.tolist() for m in self.members]}
@@ -105,8 +98,6 @@ class SetFamily:
             out["N"] = self.N
         else:
             out["point_exponent"] = self.point_exponent
-        if self.anchors is not None:
-            out["anchors"] = list(self.anchors)
         return out
 
     @classmethod
@@ -117,8 +108,15 @@ class SetFamily:
             N=data.get("N"),
             point_exponent=data.get("point_exponent"),
             members=data["members"],
-            anchors=data.get("anchors"),
         )
+
+
+def _integer_rows(member, d: int) -> np.ndarray:
+    """A member as (n, d) int64 rows; integer input pays only a dtype check."""
+    a = np.asarray(member)
+    if a.dtype.kind not in "iu" and not np.all(np.mod(a, 1) == 0):
+        raise CoverError("member coordinates must be integers")
+    return a.astype(np.int64, copy=False).reshape(-1, d)
 
 
 def _flat_indices(points: np.ndarray, N: int, d: int) -> np.ndarray:
@@ -425,7 +423,7 @@ def dyadic_cover_complement(
 
 
 # ---------------------------------------------------------------------------
-# anchored complement (d = 1): randomized route plus deterministic greedy
+# greedy piece cover (d = 1)
 
 
 def greedy_piece_cover(
@@ -535,195 +533,3 @@ def _insert_offset(offs: list[int], b: int, w: int) -> int:
 def _extend(union, pts: np.ndarray, lo: int, hi: int):
     """A merged union grown by pts + [lo, hi]."""
     return merge_int(np.concatenate((union[0], pts + lo)), np.concatenate((union[1], pts + hi)))
-
-
-def greedy_cell_complement(
-    members: Sequence[tuple[np.ndarray, int, int]],
-    cell_w: int,
-    allowed_lo: int,
-    allowed_hi: int,
-    budget_cells: int,
-) -> np.ndarray:
-    """Deterministic greedy cover: pick cells c (width cell_w, same integer
-    frame as the points) until every member's target [lo, hi] is inside
-    points + union(cells).  Returns sorted cell indices.
-
-    members: (points sorted ascending, target_lo, target_hi) triples.  Cells
-    are constrained to [allowed_lo, allowed_hi]; CoverError on budget or
-    window exhaustion.  Choosing the closest witness below each gap keeps the
-    offsets canonical, so self-similar members reuse cells heavily.
-    """
-    members = [(np.asarray(p, dtype=np.int64).reshape(-1), int(lo), int(hi)) for p, lo, hi in members]
-    chosen: set[int] = set()
-    for mi, (pts, lo, hi) in enumerate(members):
-        if pts.size == 0:
-            raise CoverError(f"member {mi} has no points")
-        cells = np.array(sorted(chosen), dtype=np.int64)
-        union = points_plus(pts, cells * cell_w, (cells + 1) * cell_w)
-        while True:
-            u = first_gap(*union, lo, hi)
-            if u is None:
-                break
-            iu = int(np.searchsorted(pts, u, side="right")) - 1
-            # witness order: closest point below the gap, then points above
-            candidates = list(range(iu, -1, -1)) + list(range(iu + 1, pts.size))
-            placed = False
-            for j in candidates:
-                c = (u - int(pts[j])) // cell_w
-                if c * cell_w < allowed_lo or (c + 1) * cell_w > allowed_hi or c in chosen:
-                    continue
-                chosen.add(c)
-                union = _extend(union, pts, c * cell_w, (c + 1) * cell_w)
-                placed = True
-                break
-            if not placed:
-                raise CoverError(f"cannot cover member {mi} at {u} within the allowed window")
-            if len(chosen) > budget_cells:
-                raise CoverError(f"greedy cover exceeded the cell budget {budget_cells}")
-    return np.array(sorted(chosen), dtype=np.int64)
-
-
-def anchored_cover_complement(
-    family: SetFamily,
-    q_corner: int,
-    side_cells: int,
-    g: int,
-    eps,
-    seed: int = 0,
-    method: str = "auto",
-    require_threshold: bool = False,
-    max_draws: int = 64,
-) -> DyadicCoverResult:
-    """T, a union of delta-cells, with A + T covering a(A) + Q for every
-    anchored member (d = 1), |T| <= eps |Q|.
-
-    Q has corner q_corner (integer at the member resolution 2^-pe,
-    delta-aligned) and side side_cells * delta, delta = 2^-g; the target for
-    member A is a(A) + Q.  Witness points are taken within one side length of
-    the anchor (the pigeonhole window), which keeps T inside the tripled cube
-    3Q, and inside 2Q whenever the members already sit within side/2 of their
-    anchors.  The randomized route draws uniform cells in the allowed window
-    and verifies; when its union-bound threshold is out of reach the
-    deterministic greedy builder takes over (method "auto").  Coverage is
-    pixel-verified at delta/2 either way; a failed certificate is a bug.
-    """
-    eps = frac(eps)
-    if family.kind != "cube" or family.d != 1:
-        raise CoverError("anchored complement implemented for 1-d cube families")
-    if family.anchors is None:
-        raise CoverError("family needs anchors")
-    pe = family.point_exponent
-    if pe < g + 1:
-        raise CoverError("points must be at least at delta/2 resolution")
-    scale = 1 << (pe - g)
-    if q_corner % scale:
-        raise CoverError("target cube corner must be delta-aligned")
-    span = side_cells * scale
-    counts = [int(np.unique(m >> (pe - g), axis=0).shape[0]) for m in family.members]
-    fam_count = family_hausdorff_cover_count(family, g)
-    threshold_ref = (108.0 / float(eps)) * math.log((1 << g) * fam_count)
-    threshold_ok = all(c > threshold_ref for c in counts)
-    if require_threshold and not threshold_ok:
-        raise ThresholdError(f"anchored threshold {threshold_ref:.1f} not met (counts {counts})")
-    budget_cells = int(eps * side_cells)
-    if budget_cells < 1:
-        raise CoverError("eps budget below one cell")
-    obligations = []
-    pigeonhole = []
-    tight = True  # members within side/2 of anchors -> T inside 2Q
-    for m, a_idx in zip(family.members, family.anchors):
-        pts = np.sort(m.reshape(-1))
-        anchor = int(m[a_idx, 0])
-        left = pts[(pts >= anchor - span) & (pts <= anchor)]
-        right = pts[(pts >= anchor) & (pts <= anchor + span)]
-        lc = int(np.unique(left >> (pe - g)).size)
-        rc = int(np.unique(right >> (pe - g)).size)
-        pick = left if lc >= rc else right
-        pigeonhole.append(max(lc, rc))
-        if pick.size and (pick.max() - anchor > span // 2 or anchor - pick.min() > span // 2):
-            tight = False
-        obligations.append((pick, anchor + q_corner, anchor + q_corner + span))
-    # T window: offsets t = y - x with y in anchor + Q, x within `span` of the
-    # anchor: t in Q +- span, i.e. the tripled cube; the tight case stays in 2Q
-    allowed_lo = q_corner - span
-    allowed_hi = q_corner + 2 * span
-    if tight:
-        allowed_lo = q_corner - span // 2
-        allowed_hi = q_corner + span + span // 2
-    used_method = None
-    cells = None
-    rnd_cert = None
-    if method in ("auto", "random") and threshold_ok:
-        try:
-            cells, rnd_cert = _anchored_random_draw(
-                obligations, scale, allowed_lo, allowed_hi, budget_cells, seed, max_draws
-            )
-            used_method = "random"
-        except CoverError:
-            if method == "random":
-                raise
-    if cells is None:
-        if method == "random":
-            raise ThresholdError("randomized route not admissible (threshold unmet)")
-        cells = greedy_cell_complement(
-            obligations, cell_w=scale, allowed_lo=allowed_lo, allowed_hi=allowed_hi,
-            budget_cells=budget_cells,
-        )
-        used_method = "greedy"
-    measure = Fraction(int(cells.size), 1 << g)
-    side = Fraction(side_cells, 1 << g)
-    if measure > eps * side:
-        raise CoverError(f"measure {measure} exceeds eps*|Q| = {eps * side}")
-    # members are exact integer points here, so coverage is re-verified with
-    # exact interval arithmetic (finer than any pixel raster, no false results)
-    if not _obligations_covered(obligations, cells, scale):
-        raise CoverError("anchored coverage verification failed (a bug)")
-    cert = {
-        "schema": "nullcover/1",
-        "kind": "anchored_cover",
-        "method": used_method,
-        "eps": str(eps),
-        "g": g,
-        "side_cells": side_cells,
-        "q_corner": q_corner,
-        "measure": str(measure),
-        "measure_bound": str(eps * side),
-        "within_2q": bool(tight),
-        "threshold_108d": threshold_ref,
-        "threshold_met": threshold_ok,
-        "member_grid_counts": counts,
-        "pigeonhole_counts": pigeonhole,
-        "pigeonhole_ok": all(2 * p >= c for p, c in zip(pigeonhole, counts)),
-        "family_hausdorff_count": fam_count,
-        "log_convention": "natural",
-        "cell_count": int(cells.size),
-    }
-    if rnd_cert is not None:
-        cert["random_draw"] = rnd_cert
-    return DyadicCoverResult(cells=cells.reshape(-1, 1), g=g, certificate=cert)
-
-
-def _anchored_random_draw(obligations, scale, allowed_lo, allowed_hi, budget_cells, seed, max_draws):
-    """Uniform cell draw in the allowed window, verified against every
-    obligation exactly; the anchored analogue of the random covering design."""
-    c_lo = allowed_lo // scale
-    c_hi = allowed_hi // scale
-    n_window = c_hi - c_lo
-    if budget_cells >= n_window:
-        cells = np.arange(c_lo, c_hi, dtype=np.int64)
-        if _obligations_covered(obligations, cells, scale):
-            return cells, {"draws": 0, "note": "window fully included"}
-        raise CoverError("even the full window fails")
-    rng = np.random.default_rng(seed)
-    for draw in range(1, max_draws + 1):
-        cells = _uniform_subset(rng, n_window, budget_cells) + c_lo
-        if _obligations_covered(obligations, cells, scale):
-            return cells, {"seed": seed, "draws": draw, "window_cells": int(n_window)}
-    raise RetryBudgetError(f"no covering draw in {max_draws} attempts (seed {seed})")
-
-
-def _obligations_covered(obligations, cells, scale) -> bool:
-    return all(
-        first_gap(*points_plus(pts, cells * scale, (cells + 1) * scale), lo, hi) is None
-        for pts, lo, hi in obligations
-    )

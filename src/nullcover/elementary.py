@@ -1,10 +1,9 @@
-"""Elementary sets (finite unions of axis-aligned rational boxes) and exact
-1-d interval bookkeeping.
+"""Exact 1-d interval bookkeeping and packed keys for dyadic cells.
 
-Boxes carry `Fraction` corners so volumes are exact; nothing here touches
-floating point.  Dimension one also gets one exact int64 kernel for "points
-+ intervals, merged" (`merge_int`, `points_plus`, `first_gap`,
-`covered_measure`), on which the construction engine and the greedy covers
+Rational intervals merge in `Fraction` (`merge_intervals`); nothing here
+touches floating point.  Dimension one gets one exact int64 kernel for
+"points + intervals, merged" (`merge_int`, `points_plus`, `first_gap`,
+`covered_measure`), on which the construction engine and the greedy cover
 run; `IntervalAccumulator` is its one-interval-at-a-time reference.  Higher
 dimensions only need disjoint-cell unions, which the covering and fractal
 modules keep as integer cell sets, sorted and deduplicated on packed int64
@@ -14,7 +13,6 @@ keys (`cell_keys`, `unique_cells`).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -171,62 +169,3 @@ class IntervalAccumulator:
                 total += hi - lo
             i += 1
         return total
-
-
-@dataclass
-class ElementarySet:
-    """Finite union of axis-aligned boxes with rational corners.
-
-    Boxes are stored non-overlapping (constructors and `normalize` enforce it
-    in dimension one; cell-based constructors give disjointness for free), so
-    the volume is the plain sum.
-    """
-
-    d: int
-    boxes: list[tuple[tuple[Fraction, Fraction], ...]] = field(default_factory=list)
-    cell_exponent: int | None = None  # set when built from dyadic cells
-
-    @classmethod
-    def from_intervals(cls, intervals, cell_exponent=None) -> "ElementarySet":
-        merged = merge_intervals(intervals)
-        return cls(d=1, boxes=[((a, b),) for a, b in merged], cell_exponent=cell_exponent)
-
-    @classmethod
-    def from_cells(cls, d: int, cells, exponent: int) -> "ElementarySet":
-        """Cells are integer d-tuples; cell c covers prod [c_i, c_i+1] * 2^-exponent."""
-        w = Fraction(1, 1 << exponent)
-        seen = sorted(set(tuple(int(x) for x in c) for c in cells))
-        boxes = [tuple((ci * w, (ci + 1) * w) for ci in c) for c in seen]
-        es = cls(d=d, boxes=boxes, cell_exponent=exponent)
-        if d == 1:
-            return cls.from_intervals([b[0] for b in boxes], cell_exponent=exponent)
-        return es
-
-    @property
-    def volume(self) -> Fraction:
-        v = Fraction(0)
-        for box in self.boxes:
-            piece = Fraction(1)
-            for lo, hi in box:
-                piece *= hi - lo
-            v += piece
-        return v
-
-    def intervals(self) -> list[tuple[Fraction, Fraction]]:
-        if self.d != 1:
-            raise ValueError("intervals() requires d = 1")
-        return [box[0] for box in self.boxes]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "cell_exponent": self.cell_exponent,
-            "boxes": [[[str(lo), str(hi)] for lo, hi in box] for box in self.boxes],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ElementarySet":
-        boxes = [
-            tuple((Fraction(lo), Fraction(hi)) for lo, hi in box) for box in data["boxes"]
-        ]
-        return cls(d=int(data["d"]), boxes=boxes, cell_exponent=data.get("cell_exponent"))

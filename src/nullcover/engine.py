@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 import numpy as np
 
 from nullcover.elementary import (
-    ElementarySet,
     first_gap,
     frac,
     merge_int,
@@ -275,83 +274,6 @@ def middle_thirds_points(depth: int, grid_exp: Optional[int] = None) -> list[Fra
     scale = 1 << grid_exp
     snapped = sorted({Fraction(math.floor(p * scale + Fraction(1, 2)), scale) for p in pts})
     return snapped
-
-
-def rrp_step(
-    points: Sequence[Fraction],
-    family: FunctionFamily,
-    q_lo,
-    q_hi,
-    a,
-    eps,
-    piece_w_exp: int = 12,
-    g: Optional[int] = None,
-) -> tuple[list[Fraction], ElementarySet, dict]:
-    """One recursive-rectangles step: finite A' and elementary T within the
-    doubled cube with f(a) + Q inside f(A') + T for every family map and
-    |T| <= eps |Q|.
-
-    Witness points come from the window around `a` of half-width
-    side(Q)/(2C); the reference threshold (the 108^d inequality against
-    log((delta')^-1 M(delta'))) is computed and recorded with its margin,
-    and the construction is verified exactly either way.
-    """
-    _bind("greedy_piece_cover")
-    q_lo, q_hi, a, eps = frac(q_lo), frac(q_hi), frac(a), frac(eps)
-    side = q_hi - q_lo
-    if side <= 0:
-        raise EngineError("empty target rectangle")
-    c = family.bilipschitz_c
-    half_window = side / (2 * c)
-    window = [p for p in points if a - half_window < p < a + half_window]
-    if a not in window:
-        window.append(a)
-    window = sorted(set(window))
-    D = make_frame_denominator(window, family, g_max=piece_w_exp)
-    w_piece = D >> piece_w_exp
-    if w_piece == 0 or D % (1 << piece_w_exp):
-        raise EngineError("piece width finer than the frame")
-    # reference threshold report (margin may be negative; recorded, not a gate)
-    delta_ref = min(half_window, side / 8)
-    n_window = len(window)
-    m_ref = family_covering_number(family, delta_ref / c)
-    threshold_ref = (108.0 / float(eps)) * math.log(max(float(c / delta_ref) * m_ref, 2.0))
-    obligations = []
-    for f in family.maps:
-        pts_int = np.sort(_to_frame([f(p) for p in window], D, "image point"))
-        lo = int(f(a) * D) + int(q_lo * D)
-        obligations.append((pts_int, lo, lo + int(side * D)))
-    # allowed window: the doubled cube around each target; all targets are
-    # translates of Q by f(a), which differ by < side/2, so use their hull
-    t_lo = min(o[1] for o in obligations) - int(side * D) // 2
-    t_hi = max(o[2] for o in obligations) + int(side * D) // 2
-    pieces = greedy_piece_cover(
-        obligations, piece_w=w_piece, allowed_lo=t_lo, allowed_hi=t_hi,
-        budget=int(eps * side * D),
-    )
-    p_lo, p_hi = np.array(pieces, dtype=np.int64).reshape(-1, 2).T
-    merged = [(Fraction(lo, D), Fraction(hi, D)) for lo, hi in _pairs(*merge_int(p_lo, p_hi))]
-    T = ElementarySet(d=1, boxes=[(iv,) for iv in merged])
-    if T.volume > eps * side:
-        raise EngineError(f"|T| = {T.volume} exceeds eps |Q| = {eps * side}")
-    # exact coverage verification for every map
-    for pts_int, lo, hi in obligations:
-        if first_gap(*_covered_union(pts_int, p_lo, p_hi), lo, hi) is not None:
-            raise EngineError("rrp_step coverage verification failed (a bug)")
-    record = {
-        "window_points": n_window,
-        "piece_count": len(pieces),
-        "volume": str(T.volume),
-        "volume_bound": str(eps * side),
-        "threshold_ref_108": threshold_ref,
-        "threshold_margin": n_window - threshold_ref,
-        "m_at_delta": m_ref,
-        "within_2q": all(
-            q_lo - side / 2 <= lo and hi <= q_hi + side / 2 for lo, hi in merged
-        ),
-        "within_3q": all(q_lo - side <= lo and hi <= q_hi + side for lo, hi in merged),
-    }
-    return window, T, record
 
 
 def rrp_run(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -152,31 +152,6 @@ class GaugeFunction:
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "alpha": self.alpha, "s": self.s, "table": self.table}
-
-
-@dataclass
-class LargenessProfile:
-    """Named N(delta) together with the finite (N_k, delta_k) schedule."""
-
-    name: str
-    n_of_delta: object  # callable delta -> float
-    schedule: list  # [(N_k, delta_k)] with delta_k strictly decreasing
-    constants: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        deltas = [frac(dk) for _, dk in self.schedule]
-        if any(b >= a for a, b in zip(deltas, deltas[1:])):
-            raise FractalError("delta_k must decrease strictly")
-        ns = [float(nk) for nk, _ in self.schedule]
-        if any(b < a for a, b in zip(ns, ns[1:])):
-            raise FractalError("N_k must be nondecreasing")
-
-    def admissible(self, min_n: float):
-        """Largest delta_k whose N_k reaches min_n, or None."""
-        for nk, dk in self.schedule:
-            if nk >= min_n:
-                return frac(dk), float(nk)
-        return None
 
 
 # ---------------------------------------------------------------------------

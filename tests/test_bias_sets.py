@@ -11,13 +11,13 @@ from nullcover.bias_sets import (
     build_bias_complement,
     build_patch_template,
     choose_patch_k,
-    continuous_patch_complement,
     coverage_threshold,
     integer_cover_in_box,
     lift_to_signed_box,
     select_parameters,
     verify_coverage_bound,
 )
+from nullcover.elementary import merge_intervals
 from nullcover.groups import FiniteAbelianGroup, GroupSubset, linear_bias, sumset
 
 
@@ -296,43 +296,26 @@ class TestPatchTemplate:
             u = tpl.cyclic_uncovered(a_cells)
             assert u <= tpl.eps * m
 
-
-class TestContinuousPatch:
-    def test_measure_bound_example(self):
-        # d=1, Q = [-1, 1], eta = 1/2: measure <= eta * |Q| = 1
-        patch = continuous_patch_complement(
-            cube_corner=Fraction(-1), side=Fraction(2), delta=Fraction(1, 64),
-            eta=Fraction(1, 2), eps=Fraction(1, 4),
-        )
-        assert patch.measure <= 1
-        cert = patch.certificate()
-        assert cert["measure_ok"]
-
-    def test_delta_too_large(self):
-        with pytest.raises(ParameterError):
-            continuous_patch_complement(0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))
-
     def test_full_grid_family_coverage(self):
         # A = full operative grid of [0, side]: coverage of a0 + Q is complete
         # up to the eps certificate, pixel-checked at delta_op / 2
-        side = Fraction(1)
-        patch = continuous_patch_complement(
-            cube_corner=Fraction(3, 4), side=side, delta=Fraction(1, 128),
-            eta=Fraction(1, 2), eps=Fraction(1, 4),
-        )
-        tpl = patch.template
+        tpl = build_patch_template(Fraction(1, 2), Fraction(1, 4), wraps=(-1, 0, 1), min_m=128)
         m = tpl.m
         a_cells = np.arange(m, dtype=np.int64)
         assert tpl.cyclic_uncovered(a_cells) == 0
-        # interval-level verification for one a0: a0 + Q subset of A + B
+        # interval-level verification for one a0: a0 + Q subset of A + B, with
+        # B the union of corner + [c, c + 1] * w over the template cells c,
+        # merged so that a pixel straddling two touching cells counts
+        side, corner = Fraction(1), Fraction(3, 4)
         a0 = Fraction(5, 17)  # arbitrary point of [0,1]
         w = side / m
+        B = merge_intervals((corner + c * w, corner + (c + 1) * w) for c in tpl.cells.tolist())
         # A points: cell centers, in half-cell pixel units relative to a0 + corner
-        lo = a0 + patch.cube_corner
+        lo = a0 + corner
         pts = (np.arange(m) * 2 + 1).astype(np.int64)  # i*w + w/2 in units of w/2
         off = float((Fraction(0) - lo) / (w / 2))
-        starts = np.array([float((u) / (w / 2)) for u, _ in patch.intervals()])
-        ends = np.array([float((v) / (w / 2)) for _, v in patch.intervals()])
+        starts = np.array([float(u / (w / 2)) for u, _ in B])
+        ends = np.array([float(v / (w / 2)) for _, v in B])
         npix = 2 * m * 3
         pix = np.zeros(npix + 4, dtype=bool)
         s_all = (pts[:, None] + starts[None, :] + off).reshape(-1)

@@ -99,6 +99,18 @@ class TestCover:
         code, _, _ = run(capsys, "cover", "--family", "/nonexistent.json", "--eps", "1/2", "--seed", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("family", [
+        {"d": 1, "kind": "grid", "N": 64, "members": [[[0.5], [3], [7]]]},
+        {"d": 1, "kind": "cube", "point_exponent": 8, "members": [[[1.5], [3], [7]]]},
+    ], ids=["grid", "cube"])
+    def test_non_integer_member_exit_2(self, capsys, tmp_path, family):
+        # a fractional coordinate is rejected, not truncated to an integer
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(family))
+        code, _, err = run(capsys, "cover", "--family", str(path), "--eps", "1/2", "--seed", "1")
+        assert code == 2
+        assert err.startswith("error:") and "must be integers" in err
+
 
 class TestDimension:
     def test_middle_thirds_infinite(self, capsys):
@@ -148,11 +160,15 @@ class TestDimension:
     ("full-measure", "--eps", "3/2"),
     ("bias-set", "--eta", "2", "--m0", "4"),
     ("bias-set", "--eta", "1/2", "--m0", "4"),
+    # a directory where an input file belongs
+    ("cover", "--family", "{dir}", "--eps", "1/2", "--seed", "1"),
+    ("dimension", "--set", "{dir}"),
+    ("verify", "{dir}"),
 ])
 def test_usage_error_exit_2(capsys, tmp_path, argv):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
-    code, _, err = run(capsys, *(a.format(empty=empty) for a in argv))
+    code, _, err = run(capsys, *(a.format(empty=empty, dir=tmp_path) for a in argv))
     assert code == 2
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]

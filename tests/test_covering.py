@@ -1,4 +1,4 @@
-"""Random covering designs, lifts, pixel verification, anchored complements."""
+"""Random covering designs, lifts, pixel verification, the greedy piece cover."""
 
 import math
 from fractions import Fraction
@@ -11,10 +11,8 @@ from nullcover.covering import (
     RetryBudgetError,
     SetFamily,
     ThresholdError,
-    anchored_cover_complement,
     dyadic_cover_complement,
     family_hausdorff_cover_count,
-    greedy_cell_complement,
     greedy_piece_cover,
     _insert_offset,
     pixel_cover_mask,
@@ -23,7 +21,6 @@ from nullcover.covering import (
     lift_cover_to_box,
 )
 from nullcover.elementary import (
-    ElementarySet,
     IntervalAccumulator,
     covered_measure,
     first_gap,
@@ -84,13 +81,6 @@ class TestIntervals:
                     ref.add(p + a, p + b)
             starts, ends = points_plus(pts, lo, hi)
             assert list(zip(starts.tolist(), ends.tolist())) == ref.intervals()
-
-    def test_elementary_from_cells(self):
-        es = ElementarySet.from_cells(1, [(0,), (1,), (4,)], 3)
-        assert es.intervals() == [(0, Fraction(1, 4)), (Fraction(1, 2), Fraction(5, 8))]
-        assert es.volume == Fraction(3, 8)
-        rt = ElementarySet.from_json_dict(es.to_json_dict())
-        assert rt.boxes == es.boxes
 
 
 class TestSizeThreshold:
@@ -318,82 +308,6 @@ class TestFamilyHausdorffCount:
         assert family_hausdorff_cover_count(fam, 8) == 2
 
 
-class TestGreedy:
-    def test_single_member_grid_points(self):
-        pts = np.arange(0, 1024, 8)
-        cells = greedy_cell_complement(
-            [(pts, 0, 1024)], cell_w=8, allowed_lo=-512, allowed_hi=2048, budget_cells=64
-        )
-        # one cell suffices: points every 8 with cell width 8 tile the target
-        assert cells.size <= 2
-
-    def test_budget_error(self):
-        pts = np.array([0])
-        with pytest.raises(CoverError):
-            greedy_cell_complement([(pts, 0, 1024)], cell_w=8, allowed_lo=0, allowed_hi=64, budget_cells=4)
-
-    def test_coverage_verified_by_accumulator(self):
-        rng = np.random.default_rng(31)
-        pts = np.sort(rng.choice(2048, 80, replace=False))
-        cells = greedy_cell_complement(
-            [(pts, 512, 1536)], cell_w=16, allowed_lo=-2048, allowed_hi=4096, budget_cells=128
-        )
-        acc = IntervalAccumulator()
-        for c in cells.tolist():
-            for p in pts.tolist():
-                acc.add(Fraction(p + 16 * c), Fraction(p + 16 * (c + 1)))
-        assert acc.first_gap(Fraction(512), Fraction(1536)) is None
-
-
-class TestAnchored:
-    def _family(self, rng, n_members=1, n_pts=100, pe=12, spread=None):
-        members, anchors = [], []
-        spread = spread if spread is not None else (1 << pe) // 4
-        for _ in range(n_members):
-            base = int(rng.integers(0, (1 << pe) - spread - 1))
-            pts = np.unique(base + rng.choice(spread, size=n_pts, replace=False)).reshape(-1, 1)
-            members.append(pts)
-            anchors.append(0)
-        return SetFamily(d=1, kind="cube", point_exponent=pe, members=members, anchors=anchors)
-
-    def test_spec_style_example(self):
-        # d=1, r=1/4, delta=r/128, eps=1/2, one 100-point member
-        rng = np.random.default_rng(41)
-        pe = 12
-        fam = self._family(rng, n_members=1, n_pts=100, pe=pe, spread=1 << 10)
-        g = 9  # delta = 2^-9 = (1/4)/128
-        res = anchored_cover_complement(
-            fam, q_corner=0, side_cells=128, g=g, eps=Fraction(1, 2), seed=3
-        )
-        assert Fraction(res.certificate["measure"]) <= Fraction(1, 2) * Fraction(1, 4)
-        assert res.certificate["method"] in ("greedy", "random")
-        assert res.certificate["pigeonhole_ok"]
-
-    def test_dense_single_member_trivial(self):
-        pe = 10
-        pts = np.arange(0, 256).reshape(-1, 1)
-        fam = SetFamily(d=1, kind="cube", point_exponent=pe, members=[pts], anchors=[0])
-        res = anchored_cover_complement(fam, q_corner=0, side_cells=64, g=8, eps=Fraction(1, 2), seed=1)
-        assert res.cells.size >= 1
-
-    def test_multi_member(self):
-        rng = np.random.default_rng(43)
-        fam = self._family(rng, n_members=4, n_pts=200, pe=12, spread=1 << 10)
-        res = anchored_cover_complement(
-            fam, q_corner=0, side_cells=128, g=9, eps=Fraction(1, 2), seed=9
-        )
-        assert Fraction(res.certificate["measure"]) <= Fraction(1, 8)
-
-    def test_threshold_flag(self):
-        rng = np.random.default_rng(44)
-        fam = self._family(rng, n_members=1, n_pts=50, pe=12, spread=1 << 10)
-        with pytest.raises(ThresholdError):
-            anchored_cover_complement(
-                fam, q_corner=0, side_cells=128, g=9, eps=Fraction(1, 2), seed=3,
-                require_threshold=True,
-            )
-
-
 def test_family_serialization_roundtrip():
     fam = SetFamily(
         d=2, kind="grid", N=8,
@@ -402,6 +316,9 @@ def test_family_serialization_roundtrip():
     rt = SetFamily.from_json_dict(fam.to_json_dict())
     assert rt.N == 8 and len(rt.members) == 2
     assert np.array_equal(rt.members[0], fam.members[0])
+    # a key the family does not read, such as "anchors", is ignored
+    old = SetFamily.from_json_dict({**fam.to_json_dict(), "anchors": [0, 0]})
+    assert old.to_json_dict() == fam.to_json_dict()
 
 
 def test_greedy_piece_cover_deterministic_shared_core():

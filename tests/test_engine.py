@@ -1,4 +1,4 @@
-"""Construction engine: families, single steps, full runs, cascade, traces."""
+"""Construction engine: families, full runs, cascade, traces."""
 
 import hashlib
 import json
@@ -22,7 +22,6 @@ from nullcover.engine import (
     make_frame_denominator,
     middle_thirds_points,
     rrp_run,
-    rrp_step,
     verify_full_measure_trace,
     verify_rrp_trace,
 )
@@ -85,32 +84,6 @@ class TestFunctionFamily:
         h = hausdorff_distance([(f1(p),) for p in pts], [(f2(p),) for p in pts])
         sup = max(abs(f1(p) - f2(p)) for p in pts)
         assert h <= sup
-
-
-class TestRRPStep:
-    def test_identity_family_dense_grid(self):
-        pts = [Fraction(i, 256) for i in range(257)]
-        fam = FunctionFamily.scalings([Fraction(1)], c=Fraction(2))
-        a_used, T, record = rrp_step(pts, fam, Fraction(0), Fraction(1, 4), Fraction(1, 8), Fraction(1, 4))
-        assert T.volume <= Fraction(1, 4) * Fraction(1, 4)
-        assert record["within_3q"]
-
-    def test_scaling_family_cantor(self):
-        pts = criterion_points()
-        scales = [Fraction(1, 2) + Fraction(i, 1 << 10) for i in range(8)]
-        fam = FunctionFamily.scalings(scales, c=Fraction(2))
-        a_used, T, record = rrp_step(
-            pts, fam, Fraction(0), Fraction(1, 2), Fraction(1, 8), Fraction(1, 4)
-        )
-        assert T.volume <= Fraction(1, 8)
-        assert record["threshold_ref_108"] > 0  # margin recorded (negative here)
-        assert record["window_points"] == len(a_used)
-
-    def test_budget_error(self):
-        pts = [Fraction(0), Fraction(1, 2)]
-        fam = FunctionFamily.scalings([Fraction(1)], c=Fraction(2))
-        with pytest.raises((EngineError, Exception)):
-            rrp_step(pts, fam, Fraction(0), Fraction(1), Fraction(0), Fraction(1, 1024))
 
 
 class TestRRPRun:

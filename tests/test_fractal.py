@@ -14,7 +14,6 @@ from nullcover.fractal import (
     GaugeFunction,
     IntervalUnion,
     LargenessCertificate,
-    LargenessProfile,
     covering_number,
     generate_cantor,
     hausdorff_content_dyadic,
@@ -539,25 +538,3 @@ class TestLogDimension:
     def test_too_few_scales(self):
         with pytest.raises(FractalError):
             log_dimension_estimate(DyadicCubeSet(d=1, k=2, cells=np.array([[0], [3]])))
-
-
-class TestLargenessProfile:
-    def test_valid_profile(self):
-        prof = LargenessProfile(
-            name="log^2(1/delta)",
-            n_of_delta=lambda d: math.log(1 / d) ** 2,
-            schedule=[(4, Fraction(1, 16)), (16, Fraction(1, 256)), (64, Fraction(1, 65536))],
-            constants={"eta": 0.5},
-        )
-        assert prof.admissible(10) == (Fraction(1, 256), 16.0)
-        assert prof.admissible(1000) is None
-
-    def test_schedule_must_decrease(self):
-        with pytest.raises(FractalError):
-            LargenessProfile(name="bad", n_of_delta=lambda d: 1,
-                             schedule=[(4, Fraction(1, 16)), (8, Fraction(1, 16))])
-
-    def test_counts_must_grow(self):
-        with pytest.raises(FractalError):
-            LargenessProfile(name="bad", n_of_delta=lambda d: 1,
-                             schedule=[(8, Fraction(1, 16)), (4, Fraction(1, 64))])

@@ -17,15 +17,20 @@ from nullcover.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def loaded_modules(code: str) -> set[str]:
-    """The nullcover and numpy modules a fresh interpreter holds after `code`."""
+def run_fresh(code: str) -> str:
+    """The stdout of `code` run in a fresh interpreter that imports from src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    names = json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The nullcover and numpy modules a fresh interpreter holds after `code`."""
+    out = run_fresh(f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))")
+    names = json.loads(out.splitlines()[-1])
     return {n for n in names if n.split(".")[0] in ("nullcover", "numpy")}
 
 
@@ -107,3 +112,28 @@ def test_tracer_sees_every_engine_call(monkeypatch, tmp_path):
     assert main(["verify", rrp, "--out", str(tmp_path / "v.json")]) == 0
     assert main(["full-measure", "--depth", "1", "--out", fm]) == 0
     assert all(calls.values()), calls
+
+
+def test_tracer_installs_on_every_name():
+    # benchmark/tracing.py looks each name up when it installs, so a name
+    # missing from the package breaks `--trace 1` runs; install it in a fresh
+    # interpreter and check that every wrapper took its place
+    out = run_fresh("""
+import importlib, sys
+sys.path.insert(0, "benchmark")
+import tracing
+from nullcover import elementary, engine
+add = elementary.IntervalAccumulator.add
+template = engine.build_patch_template
+tracing.install()
+assert tracing.SPANS
+for module, attr, name in tracing.SPANS:
+    owner = importlib.import_module(module)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    assert hasattr(owner, "__wrapped__"), name
+assert engine.build_patch_template is not template
+assert elementary.IntervalAccumulator.add is not add
+print("installed")
+""")
+    assert out.split() == ["installed"]
