@@ -13,10 +13,9 @@ submodule, and `nullcover.rrp_run` imports `nullcover.engine` on first use.
 import importlib
 
 _EXPORTS = {
-    "groups": """FiniteAbelianGroup GroupFunction GroupSubset dft idft convolve
-        linear_bias sumset sumset_counts sumset_cover_report""",
-    "gf": """FieldSpec FieldElement make_field kth_power_set kth_power_codes
-        to_coordinates coordinate_subset""",
+    "groups": """FiniteAbelianGroup GroupFunction GroupSubset dft convolve
+        linear_bias sumset sumset_counts""",
+    "gf": "FieldSpec make_field kth_power_codes coordinate_subset",
     "bias_sets": """PropositionParams SignedBoxSet select_parameters build_bias_complement
         verify_coverage_bound lift_to_signed_box coverage_threshold""",
     "covering": """SetFamily size_threshold random_cover_complement lift_cover_to_box

@@ -37,6 +37,7 @@ from nullcover.elementary import frac
 from nullcover.gf import (
     DEFAULT_FIELD_CAP,
     FieldError,
+    coordinate_subset,
     is_prime,
     kth_power_codes,
     make_field,
@@ -175,12 +176,8 @@ def _codes_to_zmd(params: PropositionParams, codes: np.ndarray) -> GroupSubset:
     t = params.s * (params.k - 1)
     group = FiniteAbelianGroup((params.m,) * params.d)
     mask = np.zeros(group.order, dtype=bool)
-    # lexicographic index: first coordinate (= low bit block) most significant
-    idx = np.zeros(codes.shape, dtype=np.int64)
-    for j in range(params.d):
-        block = (codes >> (j * t)) & (params.m - 1)
-        idx = idx * params.m + block
-    mask[idx] = True
+    blocks = [(codes >> (j * t)) & (params.m - 1) for j in range(params.d)]
+    mask[np.ravel_multi_index(blocks, group.moduli)] = True
     return GroupSubset(group, mask)
 
 
@@ -197,10 +194,7 @@ def build_bias_complement(
     except FieldError as exc:
         raise ParameterError(str(exc)) from exc
     codes = kth_power_codes(spec, params.k, include_zero=include_zero)
-    group = FiniteAbelianGroup((2,) * t)
-    mask = np.zeros(group.order, dtype=bool)
-    mask[_bit_reverse_codes(codes, t)] = True
-    subset = GroupSubset(group, mask)
+    subset = coordinate_subset(spec, codes)
     bias = linear_bias(subset)
     comp = BiasComplement(
         params=params, subset=subset, codes=codes, bias=bias, include_zero=include_zero
@@ -225,17 +219,6 @@ def build_bias_complement(
     if not (bias**2 * params.q < 1):
         raise ParameterError("bias bound ||B||_u < q^{-1/2} violated")
     return comp
-
-
-def _bit_reverse_codes(codes: np.ndarray, t: int) -> np.ndarray:
-    # field codes are little-endian in the coefficients; the 2-group indexes
-    # lexicographically with the first coordinate most significant
-    out = np.zeros_like(codes)
-    c = codes.copy()
-    for _ in range(t):
-        out = (out << 1) | (c & 1)
-        c >>= 1
-    return out
 
 
 @dataclass
@@ -334,7 +317,7 @@ def lift_to_signed_box(B: GroupSubset, m: int, d: int) -> SignedBoxSet:
     """
     if B.group.moduli != (m,) * d:
         raise ParameterError(f"B must live in Z_{m}^{d}")
-    base = np.array([B.group.element(i) for i in np.flatnonzero(B.mask)], dtype=np.int64).reshape(-1, d)
+    base = np.stack(np.unravel_index(np.flatnonzero(B.mask), B.group.moduli), axis=1)
     shifts = np.array(np.meshgrid(*([[-m, 0]] * d), indexing="ij"), dtype=np.int64).reshape(d, -1).T
     pts = (base[None, :, :] + shifts[:, None, :]).reshape(-1, d)
     pts = np.unique(pts, axis=0)
@@ -349,11 +332,7 @@ def integer_cover_in_box(A_points: np.ndarray, box: SignedBoxSet, m: int) -> np.
     keep = np.all((sums >= 0) & (sums < m), axis=1)
     sums = sums[keep]
     mask = np.zeros(m**d, dtype=bool)
-    if sums.size:
-        flat = np.zeros(sums.shape[0], dtype=np.int64)
-        for j in range(d):
-            flat = flat * m + sums[:, j]
-        mask[flat] = True
+    mask[np.ravel_multi_index(tuple(sums.T), (m,) * d)] = True
     return mask
 
 

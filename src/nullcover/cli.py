@@ -226,7 +226,7 @@ def _cmd_verify(args) -> int:
 
     with open(args.trace) as fh:
         data = json.load(fh)
-    kind = data.get("kind")
+    kind = data.get("kind") if isinstance(data, dict) else None
     try:
         if kind == "rrp":
             result = verify_rrp_trace(data)

@@ -112,18 +112,18 @@ class SetFamily:
 
 
 def _integer_rows(member, d: int) -> np.ndarray:
-    """A member as (n, d) int64 rows; integer input pays only a dtype check."""
+    """A member as (n, d) int64 rows; int64 input pays only a dtype check.
+
+    Anything else must hold integral values inside int64: a float such as
+    1e20 or a Python int beyond 2^63 is a CoverError, never cast or wrapped.
+    """
     a = np.asarray(member)
-    if a.dtype.kind not in "iu" and not np.all(np.mod(a, 1) == 0):
-        raise CoverError("member coordinates must be integers")
+    if a.dtype != np.int64:
+        if not np.all(np.mod(a, 1) == 0):
+            raise CoverError("member coordinates must be integers")
+        if a.size and not (-(1 << 63) <= int(a.min()) and int(a.max()) < 1 << 63):
+            raise CoverError("member coordinates must fit in int64")
     return a.astype(np.int64, copy=False).reshape(-1, d)
-
-
-def _flat_indices(points: np.ndarray, N: int, d: int) -> np.ndarray:
-    flat = np.zeros(points.shape[0], dtype=np.int64)
-    for j in range(d):
-        flat = flat * N + points[:, j]
-    return flat
 
 
 def _uniform_subset(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
@@ -160,9 +160,10 @@ def random_cover_complement(
         raise CoverError("random_cover_complement needs a grid family")
     eps = frac(eps)
     N, d = family.N, family.d
-    n_total = N**d
+    n_total, shape = N**d, (N,) * d
     K = size_threshold(eps, len(family.members), N, d)
-    sizes = [int(np.unique(_flat_indices(m, N, d)).size) for m in family.members]
+    flats = [np.ravel_multi_index(tuple(m.T), shape) for m in family.members]  # C order
+    sizes = [int(np.unique(f).size) for f in flats]
     bad = [i for i, s in enumerate(sizes) if s <= K]
     if bad:
         raise ThresholdError(
@@ -171,11 +172,10 @@ def random_cover_complement(
     b_size = int(eps * n_total)
     if b_size < 1:
         raise CoverError("eps * N^d below 1: empty complement cannot cover")
-    shape = (N,) * d
     member_masks = []
-    for m in family.members:
+    for f in flats:
         mask = np.zeros(n_total, dtype=bool)
-        mask[_flat_indices(m, N, d)] = True
+        mask[f] = True
         member_masks.append(mask.reshape(shape))
     exp_bound = sum(n_total * (1 - s / n_total) ** b_size for s in sizes)
     rng = np.random.default_rng(seed)

@@ -106,13 +106,12 @@ class FunctionFamily:
     """Finite family of affine maps on [0,1] with a bi-Lipschitz constant C.
 
     The constant is verified exactly: C^-1 <= |scale| <= 1 for every member.
-    `m_bound` optionally names M(delta); the measured covering number is a
-    greedy net in the exact sup distance max(|f(0)-g(0)|, |f(1)-g(1)|).
+    The covering number is a greedy net in the exact sup distance
+    max(|f(0)-g(0)|, |f(1)-g(1)|).
     """
 
     maps: list[AffineMap]
     bilipschitz_c: Fraction
-    m_bound: Optional[object] = None  # callable delta -> float
 
     def __post_init__(self):
         if not self.maps:
@@ -152,10 +151,7 @@ def family_covering_number(family: FunctionFamily, delta) -> int:
     for i in range(len(family.maps)):
         if not any(family.sup_distance(i, j) <= delta for j in centers):
             centers.append(i)
-    count = len(centers)
-    if family.m_bound is not None and count > family.m_bound(delta):
-        raise EngineError(f"measured covering number {count} exceeds the named bound")
-    return count
+    return len(centers)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +291,8 @@ def rrp_run(
     compatible with the 2 delta_j-neighborhood bound).
     """
     _bind("greedy_piece_cover", "_directed_hausdorff_intervals")
+    if depth < 1:
+        raise EngineError(f"rrp depth must be >= 1, got {depth}")
     points = sorted(frac(p) for p in points)
     a0 = points[0]
     if r_bounds is None:
@@ -458,10 +456,14 @@ def verify_rrp_trace(data: dict) -> dict:
     delta-neighborhood of K_{j-1}, for j >= 2 the neighborhood bound
     |K_{j-1}^(2 delta)| <= 2^-(j-1), and coverage of f(a0) + R, which must
     hold [0, 1], for every map; over all records the Delta-tail.  A point,
-    image or endpoint off the 1/D frame raises EngineError.
+    image or endpoint off the 1/D frame, or a step count other than the
+    stored depth (at least 1), raises EngineError.
     """
     _bind("_directed_hausdorff_intervals")
     meta = data["meta"]
+    depth = int(meta["depth"])
+    if depth < 1 or len(data["steps"]) != depth:
+        raise EngineError(f"trace of depth {depth} holds {len(data['steps'])} step records")
     family = FunctionFamily.from_json_dict(meta["family"])
     points = [Fraction(p) for p in meta["points"]]
     a0 = Fraction(meta["a0"])

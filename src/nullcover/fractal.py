@@ -313,26 +313,6 @@ def packing_number_greedy(points, delta) -> int:
     return len(accepted)
 
 
-def packing_number_exhaustive(points, delta) -> int:
-    """Maximum packing by brute force (oracle for small instances)."""
-    pts = [tuple(frac(x) for x in p) for p in points]
-    delta = frac(delta)
-    n = len(pts)
-    if n > 20:
-        raise FractalError("exhaustive packing limited to 20 points")
-    best = 0
-    for mask in range(1 << n):
-        sel = [pts[i] for i in range(n) if mask >> i & 1]
-        ok = all(
-            max(abs(a - b) for a, b in zip(p, q)) > 2 * delta
-            for i, p in enumerate(sel)
-            for q in sel[i + 1 :]
-        )
-        if ok:
-            best = max(best, len(sel))
-    return best
-
-
 # ---------------------------------------------------------------------------
 # gauge content on the cube tree
 
@@ -380,16 +360,13 @@ def _node_costs(A: DyadicCubeSet, phi: GaugeFunction, j_top: int) -> list[tuple[
 
 
 # ---------------------------------------------------------------------------
-# Hausdorff distance (exact: point sets any d, interval unions in d = 1)
+# Hausdorff distance (exact) and the directed excess of 1-d interval unions
 
 
 def hausdorff_distance(K1, K2):
-    """Exact sup-norm Hausdorff distance between nonempty point sets, or
-    between 1-d interval unions given as [(lo, hi), ...]."""
+    """Exact sup-norm Hausdorff distance between nonempty point sets."""
     if len(K1) == 0 or len(K2) == 0:
         raise FractalError("Hausdorff distance needs nonempty sets")
-    if _is_interval_list(K1) and _is_interval_list(K2):
-        return max(_directed_h_intervals(K1, K2), _directed_h_intervals(K2, K1))
     P1 = [tuple(frac(x) for x in (p if isinstance(p, (tuple, list, np.ndarray)) else (p,))) for p in K1]
     P2 = [tuple(frac(x) for x in (p if isinstance(p, (tuple, list, np.ndarray)) else (p,))) for p in K2]
 
@@ -405,21 +382,6 @@ def hausdorff_distance(K1, K2):
         return worst
 
     return max(directed(P1, P2), directed(P2, P1))
-
-
-def _is_interval_list(K) -> bool:
-    try:
-        return all(len(item) == 2 and not isinstance(item[0], (tuple, list)) for item in K) and getattr(
-            K, "interval_semantics", False
-        )
-    except TypeError:
-        return False
-
-
-class IntervalUnion(list):
-    """Marker list of (lo, hi) pairs treated as a 1-d set union."""
-
-    interval_semantics = True
 
 
 def _directed_h_intervals(U, V) -> Fraction:

@@ -6,20 +6,21 @@ modulus is the lexicographically smallest monic irreducible of degree n:
 candidates are scanned in increasing code order of their lower coefficients,
 so e.g. GF(16) gets x^4 + x + 1 and every prime field gets modulus x.
 
-Scalar arithmetic lives on `FieldElement`.  For p = 2 the bulk kernel is
-packed: an element is its uint64 code, bit i holding c_i, and `packed_mul`
-multiplies two code arrays carry-less (n shift/XOR steps, then reduction of
-the 2n-1-bit product by the modulus from the top bit down), exact integer
-XOR throughout; n <= 32 keeps the product inside 64 bits.  The (N, n)
-coefficient-array routines (`bulk_mul`, `bulk_pow`) serve odd p, and are the
-tests' reference for the packed kernel.  `kth_power_codes` builds power sets
-without discrete logs: plain exponentiation of every element.
+For p = 2 the bulk kernel is packed: an element is its uint64 code, bit i
+holding c_i, and `packed_mul` multiplies two code arrays carry-less (n
+shift/XOR steps, then reduction of the 2n-1-bit product by the modulus from
+the top bit down), exact integer XOR throughout; n <= 32 keeps the product
+inside 64 bits.  The (N, n) coefficient-array routines (`bulk_mul`,
+`bulk_pow`) serve odd p, and are the tests' reference for the packed kernel.
+`kth_power_codes` builds power sets without discrete logs: plain
+exponentiation of every element.  `coordinate_subset` owns the one map from
+field codes to the group indices of (Z_p)^n that the bias and sumset kernels
+work on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -164,24 +165,6 @@ class FieldSpec:
             raise FieldError("modulus is not irreducible")
         return spec
 
-    def element(self, coeffs) -> "FieldElement":
-        return FieldElement(self, tuple(int(c) % self.p for c in coeffs))
-
-    def from_code(self, code: int) -> "FieldElement":
-        coeffs = []
-        for _ in range(self.n):
-            coeffs.append(code % self.p)
-            code //= self.p
-        return FieldElement(self, tuple(coeffs))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.n)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.n - 1))
-
 
 def make_field(p: int, n: int, cap: int = DEFAULT_FIELD_CAP) -> FieldSpec:
     """Field with the lex-smallest monic irreducible modulus of degree n."""
@@ -201,67 +184,6 @@ def make_field(p: int, n: int, cap: int = DEFAULT_FIELD_CAP) -> FieldSpec:
         if is_irreducible(candidate, p):
             return FieldSpec(p, n, tuple(candidate))
     raise FieldError("no irreducible polynomial found")  # unreachable
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    spec: FieldSpec
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.spec.n:
-            raise FieldError("coefficient vector has wrong length")
-        if any(not (0 <= c < self.spec.p) for c in self.coeffs):
-            raise FieldError("coefficients not reduced mod p")
-
-    @property
-    def code(self) -> int:
-        c = 0
-        for digit in reversed(self.coeffs):
-            c = c * self.spec.p + digit
-        return c
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "FieldElement":
-        p = self.spec.p
-        return FieldElement(self.spec, tuple((-a) % p for a in self.coeffs))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        p = self.spec.p
-        prod = _polymulmod(list(self.coeffs), list(other.coeffs), list(self.spec.modulus), p)
-        prod = prod + [0] * (self.spec.n - len(prod))
-        return FieldElement(self.spec, tuple(prod))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        if e < 0:
-            return self.inverse() ** (-e)
-        p = self.spec.p
-        r = _polypowmod(list(self.coeffs), e, list(self.spec.modulus), p)
-        r = r + [0] * (self.spec.n - len(r))
-        return FieldElement(self.spec, tuple(r))
-
-    def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise FieldError("zero has no inverse")
-        return self ** (self.spec.q - 2)
-
-    def __str__(self):
-        return str(self.coeffs)
-
-
-def to_coordinates(x: FieldElement) -> tuple[int, ...]:
-    """Additive-group isomorphism GF(p^n) -> (Z_p)^n via polynomial basis."""
-    return x.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -395,43 +317,30 @@ def kth_power_codes(spec: FieldSpec, k: int, include_zero: bool = False) -> np.n
     return codes
 
 
-def kth_power_set(spec: FieldSpec, k: int, include_zero: bool = False) -> list[FieldElement]:
-    """B* = {x^k : x in F_q^*} as elements sorted by code; |B*| = (q-1)/k."""
-    codes = kth_power_codes(spec, k, include_zero)
-    out = [spec.from_code(int(c)) for c in codes]
-    expected = (spec.q - 1) // k + (1 if include_zero else 0)
-    if len(out) != expected:
-        raise FieldError(f"power set size {len(out)} != expected {expected}")
-    return out
-
-
-def coordinate_subset(spec: FieldSpec, codes: Iterable[int]):
-    """Coordinate image of field elements as a GroupSubset of (Z_p)^n.
+def coordinate_subset(spec: FieldSpec, codes):
+    """Coordinate image of field codes as a GroupSubset of (Z_p)^n.
 
     Group coordinates are the polynomial coefficients (c_0,...,c_{n-1}),
-    indexed lexicographically with c_0 most significant.
+    indexed lexicographically with c_0 most significant: the field code is
+    little-endian in p and the group index big-endian, so the index is the
+    code with its n base-p digits reversed.
     """
     from nullcover.groups import FiniteAbelianGroup, GroupSubset
 
-    group = FiniteAbelianGroup((spec.p,) * spec.n)
-    codes = np.asarray(list(codes), dtype=np.int64)
+    p, n = spec.p, spec.n
+    c = np.asarray(codes, dtype=np.int64)
+    idx = np.zeros(c.shape, dtype=np.int64)
+    if p == 2:  # digit i is bit i; it moves to bit n - 1 - i
+        bit = np.empty_like(idx)
+        for i in range(n):
+            np.right_shift(c, i, out=bit)
+            bit &= 1
+            bit <<= n - 1 - i
+            idx |= bit
+    else:
+        for _ in range(n):
+            idx = idx * p + c % p
+            c = c // p
     mask = np.zeros(spec.q, dtype=bool)
-    # field code is little-endian in p; group index is big-endian in p
-    idx = np.zeros(codes.shape, dtype=np.int64)
-    c = codes.copy()
-    for _ in range(spec.n):
-        idx = idx * spec.p + (c % spec.p)
-        c //= spec.p
     mask[idx] = True
-    return GroupSubset(group, mask)
-
-
-def find_generator(spec: FieldSpec) -> FieldElement:
-    """Smallest-code generator of the multiplicative group."""
-    q = spec.q
-    factors = prime_factors(q - 1)
-    for code in range(1, q):
-        g = spec.from_code(code)
-        if all((g ** ((q - 1) // r)) != spec.one for r in factors):
-            return g
-    raise FieldError("no generator found")  # unreachable for a field
+    return GroupSubset(FiniteAbelianGroup((p,) * n), mask)

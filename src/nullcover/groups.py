@@ -202,13 +202,6 @@ def dft(f: GroupFunction) -> GroupFunction:
     return GroupFunction(g, out)
 
 
-def idft(fhat: GroupFunction) -> GroupFunction:
-    """Inverse transform: bare conjugate character sum, no normalization factor."""
-    g = fhat.group
-    out = np.fft.ifftn(fhat.values.reshape(g.moduli)).reshape(-1) * g.order
-    return GroupFunction(g, out)
-
-
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     """(f*g)(x) = |G|^{-1} sum_y f(y) g(x-y); exact integer path on 2-groups."""
     _check_same_group(f, g)
@@ -262,60 +255,3 @@ def sumset(A: GroupSubset, B: GroupSubset) -> GroupSubset:
     _check_same_group(A, B)
     shape = A.group.moduli
     return GroupSubset(A.group, sumset_counts(A.mask.reshape(shape), B.mask.reshape(shape)) > 0)
-
-
-@dataclass
-class SumsetCoverReport:
-    """Certificate for the bias-to-sumset inequality on one pair (A, B)."""
-
-    group_moduli: tuple[int, ...]
-    size_a: int
-    size_b: int
-    sumset_size: int
-    ratio: Fraction
-    bias: object  # Fraction (exact path) or float
-    bound: object  # 1 + bias^2 |G|^3 / (|A| |B|^2), same type as bias arithmetic
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "nullcover/1",
-            "kind": "sumset_cover_report",
-            "moduli": list(self.group_moduli),
-            "size_a": self.size_a,
-            "size_b": self.size_b,
-            "sumset_size": self.sumset_size,
-            "ratio": float(self.ratio),
-            "bias": float(self.bias),
-            "bound": float(self.bound),
-            "bias_exact": isinstance(self.bias, Fraction),
-            "passed": self.passed,
-        }
-
-
-def sumset_cover_report(A: GroupSubset, B: GroupSubset) -> SumsetCoverReport:
-    """Exact sumset size vs. the bound 1 + ||B||_u^2 |G|^3 / (|A| |B|^2)."""
-    _check_same_group(A, B)
-    if A.size == 0 or B.size == 0:
-        raise GroupError("bias-to-sumset bound undefined for empty A or B")
-    G = A.group
-    S = sumset(A, B)
-    bias = linear_bias(B)
-    n = G.order
-    ratio = Fraction(n, S.size)
-    if isinstance(bias, Fraction):
-        bound = 1 + bias**2 * n**3 / Fraction(A.size * B.size**2)
-        passed = ratio <= bound
-    else:
-        bound = 1.0 + bias**2 * n**3 / (A.size * B.size**2)
-        passed = float(ratio) <= bound * (1 + 1e-12) + 1e-12
-    return SumsetCoverReport(
-        group_moduli=G.moduli,
-        size_a=A.size,
-        size_b=B.size,
-        sumset_size=S.size,
-        ratio=ratio,
-        bias=bias,
-        bound=bound,
-        passed=passed,
-    )

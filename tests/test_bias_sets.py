@@ -88,12 +88,12 @@ class TestBiasComplement:
         assert comp.size == 5
         assert comp.size <= Fraction(1, 3) * 16  # 5 <= 5.33
         assert comp.bias < Fraction(1, 4)  # 1/sqrt(16)
-        # oracle: exhaustive cubing in F_16
-        from nullcover.gf import make_field
+        # oracle: exhaustive cubing in F_16 on the scalar polynomial path
+        from nullcover.gf import _polypowmod, make_field
 
         spec = make_field(2, 4)
-        cubes = sorted({(spec.from_code(c) ** 3).code for c in range(1, 16)})
-        assert list(comp.codes) == cubes
+        cube = [_polypowmod([(c >> i) & 1 for i in range(4)], 3, list(spec.modulus), 2) for c in range(1, 16)]
+        assert list(comp.codes) == sorted({sum(b << i for i, b in enumerate(x)) for x in cube})
 
     def test_certificate(self):
         p = select_parameters(Fraction(1, 4), 4, 1)

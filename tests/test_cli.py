@@ -99,17 +99,20 @@ class TestCover:
         code, _, _ = run(capsys, "cover", "--family", "/nonexistent.json", "--eps", "1/2", "--seed", "1")
         assert code == 2
 
-    @pytest.mark.parametrize("family", [
-        {"d": 1, "kind": "grid", "N": 64, "members": [[[0.5], [3], [7]]]},
-        {"d": 1, "kind": "cube", "point_exponent": 8, "members": [[[1.5], [3], [7]]]},
-    ], ids=["grid", "cube"])
-    def test_non_integer_member_exit_2(self, capsys, tmp_path, family):
-        # a fractional coordinate is rejected, not truncated to an integer
+    @pytest.mark.parametrize("family,message", [
+        ({"d": 1, "kind": "grid", "N": 64, "members": [[[0.5], [3], [7]]]}, "must be integers"),
+        ({"d": 1, "kind": "cube", "point_exponent": 8, "members": [[[1.5], [3], [7]]]}, "must be integers"),
+        ({"d": 1, "kind": "cube", "point_exponent": 8, "members": [[[10**20], [3], [7]]]}, "fit in int64"),
+        ({"d": 1, "kind": "cube", "point_exponent": 8, "members": [[[1e20], [3], [7]]]}, "fit in int64"),
+    ], ids=["grid", "cube", "int-beyond-int64", "float-beyond-int64"])
+    def test_non_integer_member_exit_2(self, capsys, tmp_path, family, message):
+        # a fractional coordinate is rejected, not truncated to an integer; one
+        # outside int64 neither overflows nor is cast to -2^63
         path = tmp_path / "fam.json"
         path.write_text(json.dumps(family))
         code, _, err = run(capsys, "cover", "--family", str(path), "--eps", "1/2", "--seed", "1")
         assert code == 2
-        assert err.startswith("error:") and "must be integers" in err
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
 
 
 class TestDimension:
@@ -239,6 +242,14 @@ class TestTraces:
         code, _, _ = run(capsys, "verify", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("top", [[], 3], ids=["list", "number"])
+    def test_non_object_trace_exit_2(self, capsys, tmp_path, top):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(top))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert err == "error: unknown trace kind None\n"
+
     @pytest.mark.parametrize("argv", [
         ("rrp", "--cantor-depth", "4", "--grid-exp", "8", "--depth", "2", "--maps", "2"),
         ("full-measure", "--depth", "4"),
@@ -274,7 +285,15 @@ def _frame(data):
     data["meta"]["frame_denominator"] += 1
 
 
-@pytest.mark.parametrize("mutate", [_corner, _volume, _delta, _frame])
+def _no_steps(data):  # fewer records than meta.depth is no vacuous pass
+    data["steps"] = []
+
+
+def _last_step_removed(data):
+    data["steps"].pop()
+
+
+@pytest.mark.parametrize("mutate", [_corner, _volume, _delta, _frame, _no_steps, _last_step_removed])
 def test_rrp_single_tamper_fails_verify(capsys, tmp_path, rrp_trace_data, mutate):
     data = copy.deepcopy(rrp_trace_data)
     mutate(data)

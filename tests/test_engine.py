@@ -68,13 +68,6 @@ class TestFunctionFamily:
         assert 7 <= n <= 21
         assert family_covering_number(fam, Fraction(1)) == 1
 
-    def test_named_bound_checked(self):
-        scales = [Fraction(1, 2) + Fraction(i, 40) for i in range(21)]
-        fam = FunctionFamily.scalings(scales, c=Fraction(2))
-        fam.m_bound = lambda d: 1.0
-        with pytest.raises(EngineError):
-            family_covering_number(fam, Fraction(1, 100))
-
     def test_hausdorff_image_bound(self):
         # H(f1(A), f2(A)) <= sup |f1 - f2| on samples, exactly
         from nullcover.fractal import hausdorff_distance
@@ -142,6 +135,11 @@ class TestRRPRun:
         t1 = rrp_run(criterion_points(), criterion_family(), depth=2, **kw)
         t2 = rrp_run(criterion_points(), criterion_family(), depth=2, **kw)
         assert t1.content_hash() == t2.content_hash()
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected(self, depth):
+        with pytest.raises(EngineError, match="depth"):
+            rrp_run(criterion_points(), criterion_family(), depth=depth)
 
     def test_verify_roundtrip_and_tamper(self):
         trace = rrp_run(criterion_points(), criterion_family(), depth=2,

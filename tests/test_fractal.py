@@ -12,20 +12,30 @@ from nullcover.fractal import (
     DyadicCubeSet,
     FractalError,
     GaugeFunction,
-    IntervalUnion,
     LargenessCertificate,
     covering_number,
     generate_cantor,
     hausdorff_content_dyadic,
     hausdorff_distance,
     log_dimension_estimate,
-    packing_number_exhaustive,
     packing_number_greedy,
     uniform_large_subset,
     _directed_h_intervals,
 )
 
 MIDDLE_THIRDS = {"kind": "digits", "base": 3, "digits": [0, 2]}
+
+
+def packing_number_exhaustive(points, delta) -> int:
+    """Maximum packing by brute force over all subsets (oracle for small instances)."""
+    pts = [tuple(Fraction(x) for x in p) for p in points]
+    assert len(pts) <= 20
+    best = 0
+    for mask in range(1 << len(pts)):
+        sel = [p for i, p in enumerate(pts) if mask >> i & 1]
+        if all(max(abs(a - b) for a, b in zip(p, q)) > 2 * delta for p, q in combinations(sel, 2)):
+            best = max(best, len(sel))
+    return best
 
 
 class TestGenerateCantor:
@@ -436,10 +446,11 @@ class TestHausdorffDistance:
             assert hausdorff_distance(X, Z) <= hausdorff_distance(X, Y) + hausdorff_distance(Y, Z)
 
     def test_interval_unions(self):
-        U = IntervalUnion([(Fraction(0), Fraction(1, 8))])
-        V = IntervalUnion([(Fraction(0), Fraction(1, 32)), (Fraction(3, 32), Fraction(4, 32))])
-        # directed U -> V attains at the gap midpoint 1/16
-        assert hausdorff_distance(U, V) == Fraction(1, 32)
+        U = [(Fraction(0), Fraction(1, 8))]
+        V = [(Fraction(0), Fraction(1, 32)), (Fraction(3, 32), Fraction(4, 32))]
+        # directed U -> V attains at the gap midpoint 1/16; V lies inside U
+        assert _directed_h_intervals(U, V) == Fraction(1, 32)
+        assert _directed_h_intervals(V, U) == 0
 
         # seeded unions, with overlapping, nested and one-point intervals,
         # against brute force: with integer endpoints the sup of dist(., V)
@@ -451,11 +462,12 @@ class TestHausdorffDistance:
         rng = np.random.default_rng(8)
         for _ in range(60):
             U, V = (
-                IntervalUnion(zip(lo.tolist(), (lo + rng.integers(0, 12, n)).tolist()))
+                list(zip(lo.tolist(), (lo + rng.integers(0, 12, n)).tolist()))
                 for n in rng.integers(1, 8, 2)
                 for lo in [rng.integers(0, 60, n)]
             )
-            assert hausdorff_distance(U, V) == max(directed(U, V), directed(V, U))
+            assert _directed_h_intervals(U, V) == directed(U, V)
+            assert _directed_h_intervals(V, U) == directed(V, U)
         # an interval nested in V must not hide the gap (10, 20) behind it
         assert _directed_h_intervals([(12, 18)], [(0, 10), (1, 2), (20, 30)]) == 5
 

@@ -6,21 +6,38 @@ import pytest
 from nullcover.gf import (
     FieldError,
     FieldSpec,
+    _polymulmod,
+    _polypowmod,
     all_coords,
     bulk_mul,
     bulk_pow,
     coordinate_subset,
     coords_to_codes,
-    find_generator,
     is_irreducible,
     kth_power_codes,
-    kth_power_set,
     make_field,
     packed_mul,
     packed_pow,
-    to_coordinates,
 )
 from nullcover.groups import linear_bias
+
+
+def coeffs_of(spec, code):
+    """The n base-p digits of a field code, c_0 first."""
+    return [(code // spec.p**i) % spec.p for i in range(spec.n)]
+
+
+def code_of(spec, coeffs):
+    return sum(int(c) * spec.p**i for i, c in enumerate(coeffs))
+
+
+def scalar_mul(spec, x, y):
+    """Field product of two codes on the scalar polynomial path."""
+    return code_of(spec, _polymulmod(coeffs_of(spec, x), coeffs_of(spec, y), list(spec.modulus), spec.p))
+
+
+def scalar_pow(spec, x, e):
+    return code_of(spec, _polypowmod(coeffs_of(spec, x), e, list(spec.modulus), spec.p))
 
 
 def irreducible_scan_oracle(p, n):
@@ -120,54 +137,55 @@ class TestAxioms:
 
     def test_scalar_ops_match_bulk(self):
         spec = make_field(3, 2)
-        xs = [spec.from_code(c) for c in range(9)]
-        for x in xs:
-            for y in xs:
-                z = x * y
-                bz = bulk_mul(spec, np.array([x.coeffs]), np.array([y.coeffs]))[0]
-                assert tuple(bz) == z.coeffs
+        for x in range(9):
+            for y in range(9):
+                bz = bulk_mul(spec, np.array([coeffs_of(spec, x)]), np.array([coeffs_of(spec, y)]))[0]
+                assert code_of(spec, bz) == scalar_mul(spec, x, y)
 
     def test_generator_has_full_order(self):
+        # the multiplicative group is cyclic of order q - 1: every x^(q-1) is 1,
+        # and some x has x^((q-1)/r) != 1 for every prime r | q - 1
         for p, n in [(2, 4), (3, 2), (7, 1), (2, 8)]:
             spec = make_field(p, n)
-            g = find_generator(spec)
             q = spec.q
-            assert g ** (q - 1) == spec.one
+            nonzero = all_coords(spec)[1:]
+            assert np.all(coords_to_codes(spec, bulk_pow(spec, nonzero, q - 1)) == 1)
+            full = np.ones(q - 1, dtype=bool)
             for r in {2, 3, 5, 7, 17, 257}:
                 if (q - 1) % r == 0:
-                    assert g ** ((q - 1) // r) != spec.one
+                    full &= coords_to_codes(spec, bulk_pow(spec, nonzero, (q - 1) // r)) != 1
+            g = int(np.flatnonzero(full)[0]) + 1
+            assert scalar_pow(spec, g, q - 1) == 1
+            assert all(scalar_pow(spec, g, (q - 1) // r) != 1 for r in range(2, q) if (q - 1) % r == 0)
 
 
 class TestPowerSets:
     def test_first_powers_f7(self):
         spec = make_field(7, 1)
-        B = kth_power_set(spec, 1)
-        assert len(B) == 6
-        assert sorted(e.code for e in B) == [1, 2, 3, 4, 5, 6]
+        assert kth_power_codes(spec, 1).tolist() == [1, 2, 3, 4, 5, 6]
 
     def test_f16_cubes_count(self):
         spec = make_field(2, 4)
-        assert len(kth_power_set(spec, 3)) == 5
+        assert len(kth_power_codes(spec, 3)) == 5
 
     def test_f9_squares_oracle_and_bias(self):
         spec = make_field(3, 2)
-        # exhaustive squaring oracle
-        squares = sorted({(spec.from_code(c) * spec.from_code(c)).code for c in range(1, 9)})
-        B = kth_power_set(spec, 2)
-        assert [e.code for e in B] == squares
-        assert len(B) == 4
+        # exhaustive squaring oracle on the scalar polynomial path
+        squares = sorted({scalar_mul(spec, c, c) for c in range(1, 9)})
+        assert kth_power_codes(spec, 2).tolist() == squares
+        assert len(squares) == 4
         bias = linear_bias(coordinate_subset(spec, squares))
         assert bias < 1 / 3  # paper bound 1/sqrt(9)
 
     def test_k_not_dividing(self):
         spec = make_field(2, 4)
         with pytest.raises(FieldError):
-            kth_power_set(spec, 4)
+            kth_power_codes(spec, 4)
 
     def test_include_zero(self):
         spec = make_field(2, 4)
-        B = kth_power_set(spec, 3, include_zero=True)
-        assert len(B) == 6 and B[0].is_zero()
+        codes = kth_power_codes(spec, 3, include_zero=True)
+        assert len(codes) == 6 and codes[0] == 0
 
     @pytest.mark.parametrize(
         "p,n,k",
@@ -253,33 +271,54 @@ class TestPacked:
         assert np.array_equal(got.astype(np.int64), oracle_mul_codes(top, a, a[::-1]))
 
 
+def layout_oracle(spec, codes):
+    """Group index of each code: its n base-p digits reversed, by numpy."""
+    shape = (spec.p,) * spec.n
+    return np.ravel_multi_index(np.unravel_index(codes, shape)[::-1], shape)
+
+
 class TestCoordinates:
     def test_zero_and_one(self):
         spec = make_field(2, 4)
-        assert to_coordinates(spec.zero) == (0, 0, 0, 0)
-        assert to_coordinates(spec.one) == (1, 0, 0, 0)
+        assert coordinate_subset(spec, [0]).members() == [(0, 0, 0, 0)]
+        assert coordinate_subset(spec, [1]).members() == [(1, 0, 0, 0)]
 
     def test_f9_generator_coordinates(self):
         spec = make_field(3, 2)
-        # modulus x^2 + 1: g = x is a generator with coordinates (0, 1)
+        # modulus x^2 + 1: x (code 3) has coordinates (0, 1); x^2 = -1 (code 2),
+        # so x has order 4, while x + 1 (code 4) has order 8 and generates
         assert spec.modulus == (1, 0, 1)
-        g = spec.element((0, 1))
-        assert to_coordinates(g) == (0, 1)
-        assert find_generator(spec).code == g.code or (find_generator(spec) ** 2).code
+        assert coordinate_subset(spec, [3]).members() == [(0, 1)]
+        assert [scalar_pow(spec, 3, e) for e in (2, 4)] == [2, 1]
+        assert [scalar_pow(spec, 4, e) for e in (2, 4, 8)] == [6, 2, 1]
 
     @pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (2, 12)])
     def test_additive_isomorphism_exhaustive(self, p, n):
         spec = make_field(p, n)
         coords = all_coords(spec)
-        # sample exhaustively via vectorized pairs on a stride
         idx = np.arange(spec.q)
         jdx = (idx * 7 + 3) % spec.q
-        lhs = (coords[idx] + coords[jdx]) % p
-        # to_coordinates(x+y) equals coordinate sum mod p by construction;
-        # verify against scalar addition on a sample
+        # field addition is digitwise mod p; its image is the group sum
+        sums = coords_to_codes(spec, (coords[idx] + coords[jdx]) % p)
         for i in range(0, spec.q, max(1, spec.q // 64)):
-            x, y = spec.from_code(int(idx[i])), spec.from_code(int(jdx[i]))
-            assert (x + y).coeffs == tuple(lhs[i])
+            (x,), (y,), (s,) = (coordinate_subset(spec, [int(c)]).members() for c in (idx[i], jdx[i], sums[i]))
+            assert s == tuple((a + b) % p for a, b in zip(x, y))
+
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_layout_every_code_p2(self, t):
+        spec = make_field(2, t)
+        for code in range(spec.q):
+            assert np.flatnonzero(coordinate_subset(spec, [code]).mask).tolist() == [
+                int(layout_oracle(spec, code))
+            ]
+
+    @pytest.mark.parametrize("p,n,k", [(2, 16, 3), (2, 16, 17), (3, 6, 7), (5, 4, 13), (7, 3, 19)])
+    def test_layout_power_sets(self, p, n, k):
+        spec = make_field(p, n)
+        codes = kth_power_codes(spec, k)
+        expect = np.zeros(spec.q, dtype=bool)
+        expect[layout_oracle(spec, codes)] = True
+        assert np.array_equal(coordinate_subset(spec, codes).mask, expect)
 
 
 def test_irreducibility_helper_agrees_with_oracle():

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nullcover.bias_sets import ParameterError, verify_coverage_bound
 from nullcover.groups import (
     FiniteAbelianGroup,
     GroupError,
@@ -14,11 +15,9 @@ from nullcover.groups import (
     GroupSubset,
     convolve,
     dft,
-    idft,
     linear_bias,
     sumset,
     sumset_counts,
-    sumset_cover_report,
     wht_int,
 )
 
@@ -35,6 +34,18 @@ def dft_oracle(f: GroupFunction) -> np.ndarray:
             phase = sum(a * b / m for a, b, m in zip(x, xi, g.moduli))
             acc += f.values[j] * cmath.exp(-2j * cmath.pi * phase)
         out[i] = acc / n
+    return out
+
+
+def inverse_oracle(fhat: GroupFunction) -> np.ndarray:
+    """The bare conjugate character sum f(x) = sum_xi fhat(xi) exp(2 pi i xi.x)."""
+    g = fhat.group
+    elems = list(g.elements())
+    out = np.zeros(g.order, dtype=complex)
+    for j, x in enumerate(elems):
+        for i, xi in enumerate(elems):
+            phase = sum(a * b / m for a, b, m in zip(x, xi, g.moduli))
+            out[j] += fhat.values[i] * cmath.exp(2j * cmath.pi * phase)
     return out
 
 
@@ -112,7 +123,7 @@ class TestDft:
         g = FiniteAbelianGroup(moduli)
         rng = np.random.default_rng(11)
         f = GroupFunction(g, rng.normal(size=g.order))
-        assert idft(dft(f)).allclose(f, tol=1e-10)
+        assert np.allclose(inverse_oracle(dft(f)), f.values, atol=1e-10)
 
     def test_invalid_group(self):
         with pytest.raises(GroupError):
@@ -231,33 +242,36 @@ class TestSumset:
 
 
 class TestCoverReport:
+    """The bias-to-sumset inequality, as `verify_coverage_bound` certifies it."""
+
     def test_singleton_plus_group(self):
         g = FiniteAbelianGroup((8,))
         A = GroupSubset.from_members(g, [(0,)])
         B = GroupSubset(g, np.ones(8, dtype=bool))
-        rep = sumset_cover_report(A, B)
-        assert rep.sumset_size == 8
-        assert rep.ratio == 1
-        assert float(rep.bound) == pytest.approx(1.0, abs=1e-12)
-        assert rep.passed
+        cert = verify_coverage_bound(A, B, Fraction(1, 3))
+        assert cert.sumset_size == 8
+        assert cert.ratio == 1
+        assert float(cert.lemma_bound) == pytest.approx(1.0, abs=1e-12)
+        assert cert.lemma_ok
 
     def test_block_pair_z8(self):
         g = FiniteAbelianGroup((8,))
         A = GroupSubset.from_members(g, [(0,), (1,)])
-        rep = sumset_cover_report(A, A)
-        assert rep.sumset_size == 3
-        assert rep.ratio == Fraction(8, 3)
-        assert rep.passed
-        assert float(rep.bound) >= float(rep.ratio)
+        cert = verify_coverage_bound(A, A, Fraction(1, 3))
+        assert cert.sumset_size == 3
+        assert cert.ratio == Fraction(8, 3)
+        assert cert.lemma_ok
+        assert cert.lemma_bound >= cert.ratio
 
     def test_empty_error(self):
         g = FiniteAbelianGroup((4,))
-        A = GroupSubset(g, np.zeros(4, dtype=bool))
-        B = GroupSubset(g, np.ones(4, dtype=bool))
-        with pytest.raises(GroupError):
-            sumset_cover_report(A, B)
+        empty, full = GroupSubset(g, np.zeros(4, dtype=bool)), GroupSubset(g, np.ones(4, dtype=bool))
+        for A, B in [(empty, full), (full, empty)]:
+            with pytest.raises(ParameterError):
+                verify_coverage_bound(A, B, Fraction(1, 3))
 
     def test_random_pairs_never_violate(self):
+        # (2, 2, 2, 2) takes the exact Fraction path; (11,), (16,) and (6, 6) the float one
         rng = np.random.default_rng(23)
         for moduli in [(11,), (16,), (2, 2, 2, 2), (6, 6)]:
             g = FiniteAbelianGroup(moduli)
@@ -266,8 +280,8 @@ class TestCoverReport:
                 mb = rng.random(g.order) < rng.uniform(0.1, 0.9)
                 if not ma.any() or not mb.any():
                     continue
-                rep = sumset_cover_report(GroupSubset(g, ma), GroupSubset(g, mb))
-                assert rep.passed
+                cert = verify_coverage_bound(GroupSubset(g, ma), GroupSubset(g, mb), Fraction(1, 3))
+                assert cert.lemma_ok
 
 
 def test_wht_roundtrip():
