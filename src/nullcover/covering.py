@@ -119,7 +119,9 @@ def _integer_rows(member, d: int) -> np.ndarray:
     """
     a = np.asarray(member)
     if a.dtype != np.int64:
-        if not np.all(np.mod(a, 1) == 0):
+        with np.errstate(invalid="ignore"):  # inf or nan mod 1 is nan: no integer
+            integral = np.all(np.mod(a, 1) == 0)
+        if not integral:
             raise CoverError("member coordinates must be integers")
         if a.size and not (-(1 << 63) <= int(a.min()) and int(a.max()) < 1 << 63):
             raise CoverError("member coordinates must fit in int64")
@@ -426,27 +428,29 @@ def dyadic_cover_complement(
 # greedy piece cover (d = 1)
 
 
+N_CANDIDATES = 48  # witnesses tried per uncovered point
+PROBE_STRIDE = 4  # every 4th point is a probe translate
+
+
 def greedy_piece_cover(
-    members: Sequence[tuple[np.ndarray, object, object]],
+    members: Sequence[tuple[np.ndarray, np.ndarray]],
     piece_w: int,
     allowed_lo: int,
     allowed_hi: int,
     budget: int,
-    n_candidates: int = 48,
-    probe_stride: int = 4,
 ) -> list[tuple[int, int]]:
     """Deterministic greedy cover with width-`piece_w` pieces at exact witness
     offsets: every member's target ends up inside points + union(T).
 
-    A member is (points sorted ascending, target), the target one (lo, hi)
-    pair or a sequence of pairs, or (points, lo, hi).  At each uncovered
-    point u the candidate anchors are u - x for witnesses x picked across
-    the whole window-admissible range; the anchor whose piece is fresh for the most
-    strided probe translates wins (ties to the smallest anchor).  Anchoring
-    at exact offsets lets self-similar point sets reuse pieces heavily,
-    which is what keeps the measure near the structural optimum.  `budget`
-    bounds the merged measure of T (same integer frame), checked after every
-    piece; CoverError when exceeded.
+    A member is (points sorted ascending, targets), the targets an (n, 2)
+    array of (lo, hi) rows.  At each uncovered point u the candidate anchors
+    are u - x for N_CANDIDATES witnesses x picked across the whole
+    window-admissible range; the anchor whose piece is fresh for the most
+    probe translates (every PROBE_STRIDE-th point) wins (ties to the
+    smallest anchor).  Anchoring at exact offsets lets self-similar point
+    sets reuse pieces heavily, which is what keeps the measure near the
+    structural optimum.  `budget` bounds the merged measure of T (same
+    integer frame), checked after every piece; CoverError when exceeded.
 
     A member that is a translate (points + c, target + c) of a member already
     walked is skipped: once (points, target) is walked, target lies inside
@@ -454,17 +458,11 @@ def greedy_piece_cover(
     covered too and its walk would add nothing.  Families of translated maps
     make most members such translates.
     """
-    norm = [
-        (
-            np.asarray(p, dtype=np.int64).reshape(-1),
-            np.asarray(rest if len(rest) == 2 else rest[0], dtype=np.int64).reshape(-1, 2),
-        )
-        for p, *rest in members
-    ]
     offs: list[int] = []  # the chosen offsets, sorted
     measure = 0  # merged measure of union(T)
     walked: set[tuple[int, bytes]] = set()
-    for mi, (pts, targets) in enumerate(norm):
+    for mi, (pts, targets) in enumerate(members):
+        pts, targets = np.asarray(pts, dtype=np.int64), np.asarray(targets, dtype=np.int64)
         if pts.size == 0:
             raise CoverError(f"member {mi} has no points")
         # points and target relative to the first point; the size splits the two
@@ -472,7 +470,7 @@ def greedy_piece_cover(
         if key in walked:
             continue
         walked.add(key)
-        probes = pts[::probe_stride]
+        probes = pts[::PROBE_STRIDE]
         taken = np.array(offs, dtype=np.int64)
         union = points_plus(pts, taken, taken + piece_w)
         # a target covered now stays covered, so only the open ones are walked
@@ -491,9 +489,9 @@ def greedy_piece_cover(
                         f"cannot cover member {mi} at {u} within the allowed window"
                     )
                 iu = int(np.searchsorted(pts, u, side="right"))
-                cand = set(range(max(w0, iu - n_candidates // 2), min(w1, iu + 8)))
-                if len(cand) < n_candidates:
-                    stride = max(1, (w1 - w0) // (n_candidates - len(cand) + 1))
+                cand = set(range(max(w0, iu - N_CANDIDATES // 2), min(w1, iu + 8)))
+                if len(cand) < N_CANDIDATES:
+                    stride = max(1, (w1 - w0) // (N_CANDIDATES - len(cand) + 1))
                     cand.update(range(w0, w1, stride))
                 # u is a gap of pts + union(T), so no u - x is an offset taken
                 o = u - pts[sorted(cand)]

@@ -3,11 +3,12 @@
 Rational intervals merge in `Fraction` (`merge_intervals`); nothing here
 touches floating point.  Dimension one gets one exact int64 kernel for
 "points + intervals, merged" (`merge_int`, `points_plus`, `first_gap`,
-`covered_measure`), on which the construction engine and the greedy cover
-run; `IntervalAccumulator` is its one-interval-at-a-time reference.  Higher
-dimensions only need disjoint-cell unions, which the covering and fractal
-modules keep as integer cell sets, sorted and deduplicated on packed int64
-keys (`cell_keys`, `unique_cells`).
+`covered_measure`) and the directed Hausdorff excess of one merged union
+over another (`twice_excess`), on which the construction engine and the
+greedy cover run; `IntervalAccumulator` is the one-interval-at-a-time
+reference of the first.  Higher dimensions only need disjoint-cell unions,
+which the covering and fractal modules keep as integer cell sets, sorted
+and deduplicated on packed int64 keys (`cell_keys`, `unique_cells`).
 """
 
 from __future__ import annotations
@@ -84,6 +85,26 @@ def covered_measure(starts: np.ndarray, ends: np.ndarray, a, b) -> np.ndarray:
         return np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
     cum = np.concatenate(([0], np.cumsum(ends - starts)[:-1]))
     return below(b) - below(a)
+
+
+def twice_excess(u: tuple[np.ndarray, np.ndarray], v: tuple[np.ndarray, np.ndarray]) -> int:
+    """2 sup_{x in U} dist(x, V) for nonempty merged unions U and V, each
+    (starts, ends): twice the directed Hausdorff excess of U over V.
+
+    On U, dist(., V) peaks at an endpoint of U or at the midpoint of a gap
+    of V inside U.  Every coordinate is doubled, so those midpoints are
+    integers; with frame values below 2^60 no difference wraps.
+    """
+    u_lo, u_hi = 2 * u[0], 2 * u[1]
+    v_lo, v_hi = 2 * v[0], 2 * v[1]
+    mids = v[1][:-1] + v[0][1:]  # doubled gap midpoints of V
+    k = np.searchsorted(u_lo, mids, side="right") - 1  # the U interval starting at or left of each
+    x = np.concatenate((u_lo, u_hi, mids[(k >= 0) & (mids <= u_hi[k])]))
+    i = np.searchsorted(v_lo, x, side="right")  # V[i - 1] is the last to start at or before x
+    left = x - v_hi[np.maximum(i - 1, 0)]
+    right = v_lo[np.minimum(i, v_lo.size - 1)] - x
+    d = np.where(i == 0, right, np.where(i == v_lo.size, left, np.minimum(left, right)))
+    return int(np.max(d, initial=0))
 
 
 def cell_keys(cells: np.ndarray, bits: int) -> np.ndarray:

@@ -48,17 +48,17 @@ from nullcover.elementary import (
     merge_intervals,
 )
 from nullcover.elementary import points_plus as _covered_union
+from nullcover.elementary import twice_excess as _directed_hausdorff_intervals
 
 if TYPE_CHECKING:
     from nullcover.bias_sets import PatchTemplate
 
-# Names the engine calls from the rrp half (covering, fractal) and from the
-# cascade half (bias_sets, which brings gf and groups), imported on first use
-# so that a run loads only its own half.  They stay module attributes looked
+# Names the engine calls from the rrp half (covering) and from the cascade
+# half (bias_sets, which brings gf and groups), imported on first use so that
+# a run loads only its own half.  They stay module attributes looked
 # up at call time, so a wrapper set on `engine.<name>` sees every call.
 _LAZY = {
     "greedy_piece_cover": ("nullcover.covering", "greedy_piece_cover"),
-    "_directed_hausdorff_intervals": ("nullcover.fractal", "_directed_h_intervals"),
     "ParameterError": ("nullcover.bias_sets", "ParameterError"),
     "build_patch_template": ("nullcover.bias_sets", "build_patch_template"),
 }
@@ -119,16 +119,12 @@ class FunctionFamily:
         c = frac(self.bilipschitz_c)
         for f in self.maps:
             a = abs(f.scale)
-            if not (1 / c <= a <= 1):
+            if not (1 <= c * a and a <= 1):  # C^-1 <= a <= 1, and no C <= 0
                 raise EngineError(f"map scale {f.scale} violates C = {c}")
 
     def sup_distance(self, i: int, j: int) -> Fraction:
         f, g = self.maps[i], self.maps[j]
         return max(abs(f(0) - g(0)), abs(f(1) - g(1)))
-
-    @classmethod
-    def scalings(cls, scales, c=Fraction(2)) -> "FunctionFamily":
-        return cls(maps=[AffineMap(frac(s), Fraction(0)) for s in scales], bilipschitz_c=frac(c))
 
     def to_json_dict(self) -> dict:
         return {
@@ -139,8 +135,8 @@ class FunctionFamily:
     @classmethod
     def from_json_dict(cls, data: dict) -> "FunctionFamily":
         return cls(
-            maps=[AffineMap(Fraction(a), Fraction(b)) for a, b in data["maps"]],
-            bilipschitz_c=Fraction(data["bilipschitz_c"]),
+            maps=[AffineMap(*_rationals(m, "map", 2)) for m in _field(data, "maps", list)],
+            bilipschitz_c=_rational(data.get("bilipschitz_c"), "bilipschitz_c"),
         )
 
 
@@ -158,20 +154,16 @@ def family_covering_number(family: FunctionFamily, delta) -> int:
 # integer frame helpers
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 def make_frame_denominator(points: Sequence[Fraction], family: FunctionFamily, g_max: int) -> int:
     """Least D with D*f(x) and D*2^-g integral for all points, maps, g <= g_max."""
-    D = 1 << g_max
+    points = [frac(p) for p in points]
+    D = math.lcm(1 << g_max, *(p.denominator for p in points))
     for f in family.maps:
-        D = _lcm(D, f.scale.denominator)
-        D = _lcm(D, f.offset.denominator)
+        a, b = f.scale.numerator, f.scale.denominator
+        D = math.lcm(D, b, f.offset.denominator)
         for p in points:
-            D = _lcm(D, (f.scale * p).denominator)
-    for p in points:
-        D = _lcm(D, frac(p).denominator)
+            bm = b * p.denominator  # s p = a n / (b m) has denominator bm / gcd(an, bm)
+            D = math.lcm(D, bm // math.gcd(a * p.numerator, bm))
     return D
 
 
@@ -179,16 +171,26 @@ def _to_frame(values, D: int, what: str) -> np.ndarray:
     """values * D as int64; EngineError where one is not an integer, or is
     so large that sums of a few frame values could wrap in int64."""
     out = []
-    for v in values:
-        x = frac(v) * D
-        if x.denominator != 1 or abs(x) >= 1 << 60:
+    for v in map(frac, values):
+        x, r = divmod(v.numerator * D, v.denominator)
+        if r or abs(x) >= 1 << 60:
             raise EngineError(f"{what} {v} is not on the 1/{D} frame below 2^60")
-        out.append(x.numerator)
+        out.append(x)
     return np.array(out, dtype=np.int64)
 
 
-def _pairs(starts: np.ndarray, ends: np.ndarray) -> list[tuple[int, int]]:
-    return list(zip(starts.tolist(), ends.tolist()))
+def _frame_images(P: np.ndarray, family: FunctionFamily, D: int) -> list[np.ndarray]:
+    """f(p) D = a P // b + o D per map f = (a/b) x + o, as int64 in point
+    order, from the frame points P = p D; in Python ints, so nothing wraps.
+    EngineError where an image is off the 1/D frame or reaches 2^60."""
+    images = []
+    for f in family.maps:
+        a, b, o = f.scale.numerator, f.scale.denominator, f.offset * D
+        img = [divmod(a * x, b) for x in P.tolist()]
+        if o.denominator != 1 or any(r or abs(q + o.numerator) >= 1 << 60 for q, r in img):
+            raise EngineError(f"an image under the map {f.to_json()} is not on the 1/{D} frame below 2^60")
+        images.append(np.array([q + o.numerator for q, _ in img], dtype=np.int64))
+    return images
 
 
 def _neighborhood_measure(starts: np.ndarray, ends: np.ndarray, r):
@@ -278,7 +280,6 @@ def rrp_run(
     depth: int,
     rho_schedule: Optional[Sequence[Fraction]] = None,
     piece_w_schedule: Optional[Sequence[int]] = None,
-    r_bounds: Optional[tuple] = None,
 ) -> ConstructionTrace:
     """Iterate the null-cover construction for `depth` steps (d = 1).
 
@@ -288,23 +289,17 @@ def rrp_run(
     targets), which caps the wandering of K_{j+1} away from K_j and hence
     the realized delta_j; piece_w_schedule[j] is the exponent of the piece
     width 2^-w used at step j (longer pieces keep the component count of K_j
-    compatible with the 2 delta_j-neighborhood bound).
+    compatible with the 2 delta_j-neighborhood bound).  The seed rectangle
+    R = [r_lo, r_hi] is the least one on the 1/16 grid with [0, 1] inside
+    f(a0) + R for every map.
     """
-    _bind("greedy_piece_cover", "_directed_hausdorff_intervals")
+    _bind("greedy_piece_cover")
     if depth < 1:
         raise EngineError(f"rrp depth must be >= 1, got {depth}")
     points = sorted(frac(p) for p in points)
     a0 = points[0]
-    if r_bounds is None:
-        lo = min(-f(a0) for f in family.maps)
-        hi = max(1 - f(a0) for f in family.maps)
-        r_lo = Fraction(math.floor(lo * 16), 16)
-        r_hi = Fraction(math.ceil(hi * 16), 16)
-    else:
-        r_lo, r_hi = frac(r_bounds[0]), frac(r_bounds[1])
-    for f in family.maps:
-        if not (f(a0) + r_lo <= 0 and f(a0) + r_hi >= 1):
-            raise EngineError("initial rectangle fails [0,1] inside f(a0) + R")
+    r_lo = Fraction(math.floor(min(-f(a0) for f in family.maps) * 16), 16)
+    r_hi = Fraction(math.ceil(max(1 - f(a0) for f in family.maps) * 16), 16)
     if rho_schedule is None:
         rho_schedule = [Fraction(1, 4)] + [Fraction(1, 1 << 10)] * (depth - 1)
     if piece_w_schedule is None:
@@ -315,8 +310,7 @@ def rrp_run(
     D = make_frame_denominator(points, family, g_max=piece_w_exp)
     r_lo_i, r_hi_i = _to_frame([r_lo, r_hi], D, "R endpoint").tolist()
     pts_plain = _to_frame(points, D, "point")
-    # f(p) D per map, in point order; [0] is f(a0) D
-    images = [_to_frame([f(p) for p in points], D, "image point") for f in family.maps]
+    images = _frame_images(pts_plain, family, D)  # [0] is f(a0) D
 
     trace = ConstructionTrace(
         kind="rrp",
@@ -362,17 +356,12 @@ def rrp_run(
         # reference threshold report (margin only; coverage is verified exactly)
         delta_p = Fraction(rho, D)
         m_ref = family_covering_number(family, delta_p / family.bilipschitz_c)
-        window_count = int(
-            np.searchsorted(pts_plain, pts_plain[0] + rho)
-            - np.searchsorted(pts_plain, pts_plain[0] - rho)
-        )
-        threshold_reports = [
-            {
-                "anchor": str(a0),
-                "window_points": window_count,
-                "threshold_ref_108": 2 * 108.0 * math.log(max(float(1 / delta_p) * m_ref, 2.0)),
-            }
-        ]
+        window = np.searchsorted(pts_plain, pts_plain[0] + np.array([-rho, rho]))
+        threshold_report = {
+            "anchor": str(a0),
+            "window_points": int(window[1] - window[0]),
+            "threshold_ref_108": 2 * 108.0 * math.log(max(float(1 / delta_p) * m_ref, 2.0)),
+        }
         p_lo, p_hi = np.array(pieces_all, dtype=np.int64).reshape(-1, 2).T
         k_next = merge_int(p_lo, p_hi)
         vol_next = Fraction(int((k_next[1] - k_next[0]).sum()), D)
@@ -380,7 +369,7 @@ def rrp_run(
         # fixes each delta one step late): the smallest
         # dyadic 2^-t bounding the one-sided Hausdorff excess of K_{j+1}
         # over K_j, required to stay within 2^-j
-        excess = _directed_hausdorff_intervals(_pairs(*k_next), _pairs(*k_cur)) / D
+        excess = Fraction(_directed_hausdorff_intervals(k_next, k_cur), 2 * D)
         delta_j = Fraction(1, 1 << j)
         while delta_j / 2 >= excess and delta_j / 2 >= Fraction(1, 1 << piece_w_exp):
             delta_j /= 2
@@ -417,7 +406,7 @@ def rrp_run(
             "halving_observed": bool(halving_observed),
             "volume_prev": str(vol_prev),
             "neighborhood_volume_prev": str(prev_nbhd_vol),
-            "threshold_reports": threshold_reports[:4],
+            "threshold_reports": [threshold_report],
         }
         if not (check_a and check_b_vol and check_b_nbhd and check_c):
             raise EngineError(f"invariant failure at step {j}: {checks}")
@@ -427,7 +416,8 @@ def rrp_run(
                 g=piece_w_schedule[j],
                 delta=delta_j,
                 piece_w_exp=piece_w_schedule[j],
-                k_intervals=[(Fraction(lo, D), Fraction(hi, D)) for lo, hi in _pairs(*k_next)],
+                k_intervals=[(Fraction(lo, D), Fraction(hi, D))
+                             for lo, hi in zip(k_next[0].tolist(), k_next[1].tolist())],
                 volume=vol_next,
                 checks=checks,
             )
@@ -447,6 +437,32 @@ def _delta_tail_ok(deltas: list[Fraction]) -> bool:
     return all(sum(deltas[j:], Fraction(0)) <= 2 * deltas[j] for j in range(len(deltas)))
 
 
+def _field(obj, key: str, kind: type):
+    """obj[key] of a stored trace, which must be a `kind`."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind):
+        raise EngineError(f"trace field {key!r} must be a {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _rational(x, what: str) -> Fraction:
+    """A stored rational with a nonzero denominator: an int, or "n" or "n/d" as
+    written; no exponent, as "1e<n>" makes Fraction compute 10^n (seconds at n = 10^7)."""
+    try:
+        if isinstance(x, int) or isinstance(x, str) and x.lstrip("-").replace("/", "", 1).isdigit():
+            return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise EngineError(f"{what} {x!r:.40} is not a rational")
+
+
+def _rationals(xs, what: str, n: Optional[int] = None) -> list[Fraction]:
+    """A stored list of rationals, of length n when given."""
+    if not isinstance(xs, list) or n not in (None, len(xs)):
+        raise EngineError(f"{xs!r:.40} is not a list of {n or 'some'} {what}s")
+    return [_rational(x, what) for x in xs]
+
+
 def verify_rrp_trace(data: dict) -> dict:
     """Re-validate a serialized rrp trace from the stored sets alone.
 
@@ -455,38 +471,41 @@ def verify_rrp_trace(data: dict) -> dict:
     1/(5 2^j)), delta_j <= 2^-(j-1), the nesting of K_j in the
     delta-neighborhood of K_{j-1}, for j >= 2 the neighborhood bound
     |K_{j-1}^(2 delta)| <= 2^-(j-1), and coverage of f(a0) + R, which must
-    hold [0, 1], for every map; over all records the Delta-tail.  A point,
-    image or endpoint off the 1/D frame, or a step count other than the
-    stored depth (at least 1), raises EngineError.
+    hold [0, 1], for every map; over all records the Delta-tail.  A field
+    of the wrong type, a rational that does not parse, a point, image or
+    endpoint off the 1/D frame, or a step count other than the stored depth
+    (at least 1), raises EngineError.
     """
-    _bind("_directed_hausdorff_intervals")
-    meta = data["meta"]
-    depth = int(meta["depth"])
-    if depth < 1 or len(data["steps"]) != depth:
-        raise EngineError(f"trace of depth {depth} holds {len(data['steps'])} step records")
-    family = FunctionFamily.from_json_dict(meta["family"])
-    points = [Fraction(p) for p in meta["points"]]
-    a0 = Fraction(meta["a0"])
-    D = int(meta["frame_denominator"])
-    r_lo, r_hi = _to_frame([Fraction(x) for x in meta["R"]], D, "R endpoint").tolist()
-    images = [_to_frame([f(p) for p in points], D, "image point") for f in family.maps]
+    meta = _field(data, "meta", dict)
+    depth = _field(meta, "depth", int)
+    records = _field(data, "steps", list)
+    if depth < 1 or len(records) != depth:
+        raise EngineError(f"trace of depth {depth} holds {len(records)} step records")
+    family = FunctionFamily.from_json_dict(_field(meta, "family", dict))
+    D = _field(meta, "frame_denominator", int)
+    if D < 1:
+        raise EngineError(f"frame denominator {D} is not positive")
+    r_lo, r_hi = _to_frame(_rationals(meta.get("R"), "R endpoint", 2), D, "R endpoint").tolist()
+    images = _frame_images(_to_frame(_rationals(meta.get("points"), "point"), D, "point"), family, D)
+    a0 = _rational(meta.get("a0"), "a0")
     fa0 = _to_frame([f(a0) for f in family.maps], D, "image of a0").tolist()
     target_ok = all(fa + r_lo <= 0 and fa + r_hi >= D for fa in fa0)
     prev = (np.array([r_lo], dtype=np.int64), np.array([r_hi], dtype=np.int64))
     steps, deltas = [], []
-    for n, step in enumerate(data["steps"], start=1):
-        j = int(step["j"])
+    for n, step in enumerate(records, start=1):
+        j = _field(step, "j", int)
         if j != n:
             raise EngineError(f"step record {n} is numbered {j}")
-        delta = Fraction(step["delta"])
-        ends = _to_frame([x for lo, hi in step["k_intervals"] for x in (lo, hi)], D, "K endpoint")
+        delta = _rational(step.get("delta"), "delta")
+        ivs = _field(step, "k_intervals", list)
+        ends = _to_frame([x for iv in ivs for x in _rationals(iv, "K endpoint", 2)], D, "K endpoint")
         cur = merge_int(ends[0::2], ends[1::2])
         if cur[0].size == 0:
             raise EngineError(f"K_{j} is empty")
         vol = Fraction(int((cur[1] - cur[0]).sum()), D)
-        ok_vol = vol == Fraction(step["volume"]) and vol <= Fraction(1, 5 * (1 << j))
+        ok_vol = vol == _rational(step.get("volume"), "volume") and vol <= Fraction(1, 5 * (1 << j))
         ok_delta = 0 <= delta <= Fraction(1, 1 << (j - 1))
-        ok_a = _directed_hausdorff_intervals(_pairs(*cur), _pairs(*prev)) / D <= delta
+        ok_a = Fraction(_directed_hausdorff_intervals(cur, prev), 2 * D) <= delta
         nbhd = Fraction(_neighborhood_measure(*prev, 2 * delta * D), D)
         ok_b = j < 2 or nbhd <= Fraction(1, 1 << (j - 1))
         ok_c = all(

@@ -15,15 +15,19 @@ by dyadic cubes, computed bottom-up on the occupied cube tree.
 
 Cells and the cubes above them are packed int64 keys (`elementary.cell_keys`),
 so a set has d * k <= 62.
+
+`hausdorff_distance` is the exact distance of finite point sets.  The
+directed excess of 1-d interval unions that the construction engine
+certifies is `elementary.twice_excess`, on the engine's int64 frame, so no
+construction or trace check imports this module.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -144,11 +148,6 @@ class GaugeFunction:
         if v is None:
             v = float(self.table[0][1])  # below the first breakpoint: smallest value
         return v
-
-    def precedes(self, other: "GaugeFunction", scales: Iterable[float]) -> bool:
-        """Sampled check of self < other in the gauge order: other/self -> 0."""
-        ratios = [other(x) / self(x) for x in scales]
-        return all(b < a for a, b in zip(ratios, ratios[1:])) and ratios[-1] < ratios[0] / 4
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "alpha": self.alpha, "s": self.s, "table": self.table}
@@ -360,7 +359,7 @@ def _node_costs(A: DyadicCubeSet, phi: GaugeFunction, j_top: int) -> list[tuple[
 
 
 # ---------------------------------------------------------------------------
-# Hausdorff distance (exact) and the directed excess of 1-d interval unions
+# Hausdorff distance (exact)
 
 
 def hausdorff_distance(K1, K2):
@@ -382,42 +381,6 @@ def hausdorff_distance(K1, K2):
         return worst
 
     return max(directed(P1, P2), directed(P2, P1))
-
-
-def _directed_h_intervals(U, V) -> Fraction:
-    """sup over x in U of dist(x, V) for finite unions of closed intervals.
-
-    On U, dist(., V) peaks at an endpoint of U or at the midpoint of a gap of
-    V inside U.  With both unions merged and the gap midpoints sorted, each
-    candidate is found and measured by bisection: O((U + V) log V).
-    """
-    U, V = _closed_union(U), _closed_union(V)
-    starts = [a for a, _ in V]
-    mids = [(b1 + a2) / 2 for (_, b1), (a2, _) in zip(V, V[1:])]
-
-    def dist(x):
-        i = bisect_right(starts, x)  # V[i - 1] is the last to start at or before x
-        d = [x - V[i - 1][1]] if i else []
-        if i < len(V):
-            d.append(V[i][0] - x)
-        return max(Fraction(0), min(d))
-
-    return max(
-        dist(x)
-        for a, b in U
-        for x in [a, b, *mids[bisect_left(mids, a):bisect_right(mids, b)]]
-    )
-
-
-def _closed_union(K) -> list[tuple[Fraction, Fraction]]:
-    """Sorted disjoint union of closed intervals, single points kept."""
-    out: list[tuple[Fraction, Fraction]] = []
-    for a, b in sorted((frac(a), frac(b)) for a, b in K):
-        if out and a <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], b))
-        else:
-            out.append((a, b))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -55,10 +55,6 @@ class FiniteAbelianGroup:
         return n
 
     @property
-    def rank(self) -> int:
-        return len(self.moduli)
-
-    @property
     def is_elementary_2(self) -> bool:
         return all(m == 2 for m in self.moduli)
 

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -104,10 +105,16 @@ class TestCover:
         ({"d": 1, "kind": "cube", "point_exponent": 8, "members": [[[1.5], [3], [7]]]}, "must be integers"),
         ({"d": 1, "kind": "cube", "point_exponent": 8, "members": [[[10**20], [3], [7]]]}, "fit in int64"),
         ({"d": 1, "kind": "cube", "point_exponent": 8, "members": [[[1e20], [3], [7]]]}, "fit in int64"),
-    ], ids=["grid", "cube", "int-beyond-int64", "float-beyond-int64"])
+        ({"d": 1, "kind": "cube", "point_exponent": 8, "members": [[[math.inf], [3], [7]]]}, "must be integers"),
+        ({"d": 1, "kind": "cube", "point_exponent": 8, "members": [[[math.nan], [3], [7]]]}, "must be integers"),
+        ({"d": 1, "kind": "cube", "point_exponent": 8, "members": [[[10**20], [math.inf], [7]]]},
+         "must be integers"),
+    ], ids=["grid", "cube", "int-beyond-int64", "float-beyond-int64", "Infinity", "NaN",
+            "int-beyond-int64-and-Infinity"])
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
     def test_non_integer_member_exit_2(self, capsys, tmp_path, family, message):
-        # a fractional coordinate is rejected, not truncated to an integer; one
-        # outside int64 neither overflows nor is cast to -2^63
+        # a fractional or non-finite coordinate is rejected, not truncated to
+        # an integer; one outside int64 neither overflows nor is cast to -2^63
         path = tmp_path / "fam.json"
         path.write_text(json.dumps(family))
         code, _, err = run(capsys, "cover", "--family", str(path), "--eps", "1/2", "--seed", "1")
@@ -293,11 +300,87 @@ def _last_step_removed(data):
     data["steps"].pop()
 
 
-@pytest.mark.parametrize("mutate", [_corner, _volume, _delta, _frame, _no_steps, _last_step_removed])
+def _image_off_frame(data):  # 2/3 of some frame point is off the 1/D frame
+    data["meta"]["family"]["maps"][0][0] = "2/3"
+
+
+def _exponent(data):  # refused before Fraction computes 10^(10^6)
+    data["steps"][0]["volume"] = "1e1000000"
+
+
+@pytest.mark.parametrize("mutate", [_corner, _volume, _delta, _frame, _no_steps, _last_step_removed,
+                                    _image_off_frame, _exponent])
 def test_rrp_single_tamper_fails_verify(capsys, tmp_path, rrp_trace_data, mutate):
     data = copy.deepcopy(rrp_trace_data)
     mutate(data)
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(data))
-    code, _, _ = run(capsys, "verify", str(path))
+    code, _, err = run(capsys, "verify", str(path))
     assert code == 1
+    message = {_image_off_frame: "is not on the 1/1048576 frame", _exponent: "is not a rational"}
+    assert message.get(mutate, "") in err
+
+
+# every rrp trace field verify reads ("*" is any list entry), and the values
+# a mutated one takes: wrong types, rationals that do not parse or have a zero
+# denominator, ints far out of range, and lists of the wrong length
+READ = ["meta", "meta.depth", "meta.family", "meta.family.maps", "meta.family.maps.*",
+        "meta.family.maps.*.*", "meta.family.bilipschitz_c", "meta.points", "meta.points.*",
+        "meta.a0", "meta.R", "meta.R.*", "meta.frame_denominator", "steps", "steps.*",
+        "steps.*.j", "steps.*.delta", "steps.*.k_intervals", "steps.*.k_intervals.*",
+        "steps.*.k_intervals.*.*", "steps.*.volume"]
+JUNK = [None, True, -1, 0, 2**70, 1.5, math.inf, math.nan, "1/0", "x", "", "-1", "1/3",
+        [], {}, [[]], ["1", "2", "3"], {"a": 1}, "deleted"]
+
+
+def _mutate_field(data, field, junk, rng):
+    """Replace one instance of `field`, picked by `rng`, with `junk`, or delete it."""
+    *path, last = field.split(".")
+    node = data
+    for part in path:
+        node = node[rng.randrange(len(node))] if part == "*" else node[part]
+    key = rng.randrange(len(node)) if last == "*" else last
+    if junk == "deleted":
+        del node[key]
+    else:
+        node[key] = copy.deepcopy(junk)
+
+
+def test_rrp_trace_mutations_never_escape_main(capsys, tmp_path, rrp_trace_data):
+    # whatever one field holds, verify passes or fails with exit 1; no
+    # exception escapes
+    rng = random.Random(20)
+    path = tmp_path / "mutated.json"
+    codes = []
+    for field in READ:
+        for junk in JUNK:
+            data = copy.deepcopy(rrp_trace_data)
+            _mutate_field(data, field, junk, rng)
+            path.write_text(json.dumps(data))
+            codes.append(main(["verify", str(path)]))
+            capsys.readouterr()
+    assert set(codes) <= {0, 1} and codes.count(1) > 0.9 * len(codes)
+
+
+@pytest.mark.parametrize("field", ["k_intervals", "volume", "delta", "frame_denominator", "j"])
+def test_rrp_changed_field_fails_verify(capsys, tmp_path, rrp_trace_data, field):
+    rng = random.Random(field)
+    D = rrp_trace_data["meta"]["frame_denominator"]
+    path = tmp_path / "changed.json"
+    for _ in range(10):
+        data = copy.deepcopy(rrp_trace_data)
+        n = rng.randrange(len(data["steps"]))  # record n holds j = n + 1
+        step, sign = data["steps"][n], rng.choice([-1, 1])
+        if field == "k_intervals":  # one endpoint moves by 1/D: the measure moves by 1/D
+            iv, end = rng.choice(step["k_intervals"]), rng.randrange(2)
+            iv[end] = str(Fraction(iv[end]) + Fraction(sign, D))
+        elif field == "volume":
+            step["volume"] = str(Fraction(step["volume"]) + Fraction(sign * rng.randint(1, D), D))
+        elif field == "delta":  # above the bound 2^-(j-1), or negative
+            step["delta"] = str(sign * (Fraction(1, 1 << n) + Fraction(rng.randint(1, D), D)))
+        elif field == "frame_denominator":  # no multiple of the least frame D
+            data["meta"]["frame_denominator"] = D + sign * rng.randint(1, D - 1)
+        else:
+            step["j"] = rng.choice([n, n + 2, -1, 10**20])
+        path.write_text(json.dumps(data))
+        assert run(capsys, "verify", str(path))[0] == 1, (field, n)

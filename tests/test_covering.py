@@ -327,11 +327,11 @@ def test_greedy_piece_cover_deterministic_shared_core():
 
     rng = np.random.default_rng(17)
     pts = np.sort(rng.choice(4096, 60, replace=False))
-    members = [(pts, 512, 3584), (pts + 7, [(600, 1400), (2000, 2600)])]
+    members = [(pts, [(512, 3584)]), (pts + 7, [(600, 1400), (2000, 2600)])]
     a = greedy_piece_cover(members, piece_w=32, allowed_lo=-4096, allowed_hi=8192, budget=4096)
     b = greedy_piece_cover(members, piece_w=32, allowed_lo=-4096, allowed_hi=8192, budget=4096)
     assert a == b
-    # coverage oracle for both target styles
+    # coverage oracle for the first member's target
     acc = IntervalAccumulator()
     for lo, hi in a:
         for p in pts.tolist():
@@ -344,13 +344,7 @@ def greedy_piece_cover_oracle(members, piece_w, allowed_lo, allowed_hi, budget,
     """`greedy_piece_cover` without its shortcuts: every member and target is
     walked, translates included, candidate offsets already taken are
     filtered out, and the budget re-merges every piece taken."""
-    norm = [
-        (
-            np.asarray(p, dtype=np.int64).reshape(-1),
-            np.asarray(rest if len(rest) == 2 else rest[0], dtype=np.int64).reshape(-1, 2),
-        )
-        for p, *rest in members
-    ]
+    norm = [(np.asarray(p, dtype=np.int64), np.asarray(t, dtype=np.int64)) for p, t in members]
     chosen = set()
     for mi, (pts, targets) in enumerate(norm):
         if pts.size == 0:

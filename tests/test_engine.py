@@ -44,11 +44,19 @@ def criterion_points():
     return middle_thirds_points(7, grid_exp=12)
 
 
+def scalings(scales, c=Fraction(2)):
+    """The family of the maps x -> s x."""
+    return FunctionFamily(maps=[AffineMap(Fraction(s), Fraction(0)) for s in scales], bilipschitz_c=c)
+
+
 class TestFunctionFamily:
     def test_bilipschitz_enforced(self):
         with pytest.raises(EngineError):
-            FunctionFamily.scalings([Fraction(1, 4)], c=Fraction(2))
-        FunctionFamily.scalings([Fraction(1, 2), Fraction(3, 4)], c=Fraction(2))
+            scalings([Fraction(1, 4)])
+        scalings([Fraction(1, 2), Fraction(3, 4)])
+        for c in (Fraction(0), Fraction(-2)):  # no C <= 0, and no division by it
+            with pytest.raises(EngineError):
+                scalings([Fraction(1, 2)], c=c)
 
     def test_serialization(self):
         fam = criterion_family()
@@ -56,13 +64,13 @@ class TestFunctionFamily:
         assert rt.maps == fam.maps
 
     def test_covering_number_single(self):
-        fam = FunctionFamily.scalings([Fraction(1, 2)], c=Fraction(2))
+        fam = scalings([Fraction(1, 2)])
         assert family_covering_number(fam, Fraction(1, 100)) == 1
 
     def test_covering_number_scalings(self):
         # r in {1/2, 1/2 + delta, ..., 1}: pairwise sup distance |r - r'|
         scales = [Fraction(1, 2) + Fraction(i, 40) for i in range(21)]
-        fam = FunctionFamily.scalings(scales, c=Fraction(2))
+        fam = scalings(scales)
         n = family_covering_number(fam, Fraction(1, 40))
         # greedy net at delta = spacing: every other map suffices, within factor 2
         assert 7 <= n <= 21

@@ -8,6 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from nullcover.elementary import merge_int, twice_excess
 from nullcover.fractal import (
     DyadicCubeSet,
     FractalError,
@@ -20,7 +21,6 @@ from nullcover.fractal import (
     log_dimension_estimate,
     packing_number_greedy,
     uniform_large_subset,
-    _directed_h_intervals,
 )
 
 MIDDLE_THIRDS = {"kind": "digits", "base": 3, "digits": [0, 2]}
@@ -166,14 +166,6 @@ class TestGaugeFunction:
         assert phi(Fraction(1, 4)) == pytest.approx(1 / math.log(4))
         with pytest.raises(FractalError):
             phi(0.9)
-
-    def test_order_relation(self):
-        phi1 = GaugeFunction.power(0.5)
-        phi2 = GaugeFunction.power(0.3)
-        scales = [2.0**-k for k in range(4, 41, 4)]
-        # phi1 has the larger exponent: phi1(x)/phi2(x) -> 0, so phi1 < phi2
-        assert phi2.precedes(phi1, scales)
-        assert not phi1.precedes(phi2, scales)
 
     def test_tabulated(self):
         phi = GaugeFunction(kind="tabulated", table=((Fraction(1, 8), 0.1), (Fraction(1, 2), 0.5)))
@@ -446,15 +438,21 @@ class TestHausdorffDistance:
             assert hausdorff_distance(X, Z) <= hausdorff_distance(X, Y) + hausdorff_distance(Y, Z)
 
     def test_interval_unions(self):
-        U = [(Fraction(0), Fraction(1, 8))]
-        V = [(Fraction(0), Fraction(1, 32)), (Fraction(3, 32), Fraction(4, 32))]
-        # directed U -> V attains at the gap midpoint 1/16; V lies inside U
-        assert _directed_h_intervals(U, V) == Fraction(1, 32)
-        assert _directed_h_intervals(V, U) == 0
+        # the engine's directed excess, on merged int64 unions, in both
+        # directions; the kernel returns twice the excess
+        def excess(U, V):
+            merged = [merge_int(*np.array(K, dtype=np.int64).reshape(-1, 2).T) for K in (U, V)]
+            return Fraction(twice_excess(*merged), 2)
 
-        # seeded unions, with overlapping, nested and one-point intervals,
-        # against brute force: with integer endpoints the sup of dist(., V)
-        # over U is attained on the half-integer grid
+        # on the 1/32 frame: the excess of U over V attains at the gap
+        # midpoint 1/16; V lies inside U
+        U, V = [(0, 4)], [(0, 1), (3, 4)]
+        assert excess(U, V) / 32 == Fraction(1, 32)
+        assert excess(V, U) == 0
+
+        # seeded unions, with overlapping and nested intervals, against brute
+        # force: with integer endpoints the sup of dist(., V) over U is
+        # attained on the half-integer grid
         def directed(A, B):
             xs = [Fraction(k, 2) for a, b in A for k in range(2 * a, 2 * b + 1)]
             return max(min(max(a - x, x - b, 0) for a, b in B) for x in xs)
@@ -462,14 +460,23 @@ class TestHausdorffDistance:
         rng = np.random.default_rng(8)
         for _ in range(60):
             U, V = (
-                list(zip(lo.tolist(), (lo + rng.integers(0, 12, n)).tolist()))
+                list(zip(lo.tolist(), (lo + rng.integers(1, 12, n)).tolist()))
                 for n in rng.integers(1, 8, 2)
                 for lo in [rng.integers(0, 60, n)]
             )
-            assert _directed_h_intervals(U, V) == directed(U, V)
-            assert _directed_h_intervals(V, U) == directed(V, U)
+            assert excess(U, V) == directed(U, V)
+            assert excess(V, U) == directed(V, U)
         # an interval nested in V must not hide the gap (10, 20) behind it
-        assert _directed_h_intervals([(12, 18)], [(0, 10), (1, 2), (20, 30)]) == 5
+        assert excess([(12, 18)], [(0, 10), (1, 2), (20, 30)]) == 5
+        # a single-interval V has no gap: the far endpoint of U counts
+        assert excess([(0, 3), (10, 12)], [(5, 6)]) == 6
+        assert excess([(5, 6)], [(0, 3), (10, 12)]) == 3
+        # U inside one gap of V, left of the gap midpoint 20
+        assert excess([(14, 18)], [(0, 10), (30, 40)]) == 8
+        assert excess([(0, 10), (30, 40)], [(14, 18)]) == 22
+        # endpoints near the 2^60 frame bound: doubled, nothing wraps
+        big = (1 << 60) - 1
+        assert excess([(big - 1, big)], [(-big, 1 - big)]) == 2 * big - 1
 
     def test_empty_error(self):
         with pytest.raises(FractalError):
