@@ -68,10 +68,19 @@ class UsageError(Exception):
     pass
 
 
+def _read_json(path: str):
+    """The parsed JSON file; a file that does not parse is a usage error, an
+    integer literal beyond Python's digit limit (4300 by default) included."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # json.JSONDecodeError is one
+            raise UsageError(f"invalid JSON input: {exc}") from exc
+
+
 def _load(path: str, cls):
     """cls.from_json_dict of a JSON file; a file that does not fit is a usage error."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     try:
         return cls.from_json_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
@@ -224,8 +233,7 @@ def _cmd_full_measure(args) -> int:
 def _cmd_verify(args) -> int:
     from nullcover.engine import EngineError, verify_rrp_trace, verify_full_measure_trace
 
-    with open(args.trace) as fh:
-        data = json.load(fh)
+    data = _read_json(args.trace)
     kind = data.get("kind") if isinstance(data, dict) else None
     try:
         if kind == "rrp":
@@ -310,9 +318,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, UsageError) as exc:  # a missing, unreadable or directory input
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
         return 2
 
 

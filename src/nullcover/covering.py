@@ -129,12 +129,20 @@ def _integer_rows(member, d: int) -> np.ndarray:
 
 
 def _uniform_subset(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-    """Uniform size-subset of range(n) by seeded partial Fisher-Yates."""
-    idx = np.arange(n, dtype=np.int64)
-    for i in range(size):
-        j = i + int(rng.integers(0, n - i))
-        idx[i], idx[j] = idx[j], idx[i]
-    return np.sort(idx[:size])
+    """Uniform size-subset of range(n) by seeded partial Fisher-Yates.
+
+    Swap i trades slot i with slot j_i = i + U[0, n - i); all the offsets come
+    from one vector draw, which numpy answers with the values of the scalar
+    draws in order (pinned by a test).  Only the slots a swap has moved are
+    stored, so the cost is O(size), whatever n.
+    """
+    js = rng.integers(0, n - np.arange(size, dtype=np.int64)) + np.arange(size)
+    moved: dict[int, int] = {}  # slot -> the value now there, where not the slot itself
+    out = []
+    for i, j in enumerate(js.tolist()):
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)  # slot i is never read again: j_k >= k > i
+    return np.sort(np.array(out, dtype=np.int64))
 
 
 @dataclass
@@ -164,8 +172,11 @@ def random_cover_complement(
     N, d = family.N, family.d
     n_total, shape = N**d, (N,) * d
     K = size_threshold(eps, len(family.members), N, d)
-    flats = [np.ravel_multi_index(tuple(m.T), shape) for m in family.members]  # C order
-    sizes = [int(np.unique(f).size) for f in flats]
+    member_masks = np.zeros((len(family.members), n_total), dtype=bool)  # one row per member
+    for mask, m in zip(member_masks, family.members):
+        mask[np.ravel_multi_index(tuple(m.T), shape)] = True  # C order
+    sizes = np.count_nonzero(member_masks, axis=1).tolist()
+    member_masks = member_masks.reshape((len(family.members),) + shape)
     bad = [i for i, s in enumerate(sizes) if s <= K]
     if bad:
         raise ThresholdError(
@@ -174,11 +185,6 @@ def random_cover_complement(
     b_size = int(eps * n_total)
     if b_size < 1:
         raise CoverError("eps * N^d below 1: empty complement cannot cover")
-    member_masks = []
-    for f in flats:
-        mask = np.zeros(n_total, dtype=bool)
-        mask[f] = True
-        member_masks.append(mask.reshape(shape))
     exp_bound = sum(n_total * (1 - s / n_total) ** b_size for s in sizes)
     rng = np.random.default_rng(seed)
     for draw in range(1, max_draws + 1):
@@ -186,7 +192,8 @@ def random_cover_complement(
         b_mask = np.zeros(n_total, dtype=bool)
         b_mask[flat] = True
         b_nd = b_mask.reshape(shape)
-        if all(sumset_counts(mm, b_nd).min() >= 1 for mm in member_masks):
+        # one batched call transforms B once for every member (no early exit on a miss)
+        if sumset_counts(member_masks, b_nd).min() >= 1:
             cert = RandomCoverCertificate(
                 seed=seed,
                 eps=str(eps),
@@ -258,33 +265,32 @@ def pixel_cover_mask(
     window_lo = np.asarray(window_lo, dtype=np.int64).reshape(d)
     window_hi = np.asarray(window_hi, dtype=np.int64).reshape(d)
     out = np.zeros(tuple(window_hi - window_lo), dtype=bool)
-    if b_hcells.size == 0 or member_hcells.size == 0:
+    if b_hcells.size == 0 or member_hcells.size == 0 or out.size == 0:
         return out
-    a_lo = member_hcells.min(axis=0)
+    # erode B on its own linear frame: a cyclic erosion would join its two ends
     b_lo = b_hcells.min(axis=0)
-    a_idx, b_idx = member_hcells - a_lo, b_hcells - b_lo
-    # zero-padded to the linear-convolution shape: cyclic sums never wrap
-    full = tuple(int(x) for x in a_idx.max(axis=0) + b_idx.max(axis=0) + 1)
-    a_mask = np.zeros(full, dtype=bool)
-    a_mask[tuple(a_idx.T)] = True
-    b_mask = np.zeros(full, dtype=bool)
+    b_idx = b_hcells - b_lo
+    b_mask = np.zeros(tuple(int(x) for x in b_idx.max(axis=0) + 1), dtype=bool)
     b_mask[tuple(b_idx.T)] = True
-    b_er = _erode_mask(b_mask)
-    if not b_er.any():
+    t = np.argwhere(_erode_mask(b_mask)) + b_lo
+    if t.size == 0:
         return out
-    covered = sumset_counts(a_mask, b_er) >= 1  # index p relative to a_lo + b_lo, p = j + t
-    # pixel p is robustly covered when p = j + t + 1 per axis (t interior start)
-    base = a_lo + b_lo + 1
-    src_lo = np.maximum(window_lo - base, 0)
-    src_hi = np.minimum(window_hi - base, np.array(covered.shape))
-    if np.any(src_hi <= src_lo):
-        return out
-    dst_lo = src_lo + base - window_lo
-    dst_hi = src_hi + base - window_lo
-    out[tuple(slice(int(l), int(h)) for l, h in zip(dst_lo, dst_hi))] = covered[
-        tuple(slice(int(l), int(h)) for l, h in zip(src_lo, src_hi))
-    ]
-    return out
+    # The sums s = j + t lie in [s_lo, s_hi] and pixel p reads s = p - 1, so
+    # the reads r lie in [window_lo - 1, window_hi - 2].  On a cyclic axis of
+    # length L > max(r_hi - s_lo, s_hi - r_lo), |s - r| < L for every sum
+    # and read, so s = r mod L only when s = r: no sum aliases into a read,
+    # and the smallest power of two above that bound is exact and fast.
+    s_lo = member_hcells.min(axis=0) + t.min(axis=0)
+    s_hi = member_hcells.max(axis=0) + t.max(axis=0)
+    reach = np.maximum(window_hi - 2 - s_lo, s_hi - window_lo + 1)
+    L = tuple(1 << int(x).bit_length() for x in reach)
+    a_mask = np.zeros(L, dtype=bool)
+    a_mask[tuple((member_hcells % L).T)] = True
+    t_mask = np.zeros(L, dtype=bool)
+    t_mask[tuple((t % L).T)] = True
+    covered = sumset_counts(a_mask, t_mask) >= 1  # index s mod L, s = j + t
+    reads = [(np.arange(lo, hi) - 1) % m for lo, hi, m in zip(window_lo.tolist(), window_hi.tolist(), L)]
+    return covered[np.ix_(*reads)]
 
 
 # ---------------------------------------------------------------------------

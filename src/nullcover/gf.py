@@ -20,6 +20,7 @@ work on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,6 +175,13 @@ def make_field(p: int, n: int, cap: int = DEFAULT_FIELD_CAP) -> FieldSpec:
         raise FieldError("degree must be >= 1")
     if p**n > cap:
         raise FieldError(f"q = {p}**{n} exceeds cap {cap}")
+    return FieldSpec(p, n, _smallest_modulus(p, n))
+
+
+@functools.cache
+def _smallest_modulus(p: int, n: int) -> tuple[int, ...]:
+    """The lex-smallest monic irreducible of degree n over Z_p, found once per
+    (p, n): the pure-Python scan costs milliseconds at n = 16."""
     for code in range(p**n):
         coeffs = []
         c = code
@@ -182,7 +190,7 @@ def make_field(p: int, n: int, cap: int = DEFAULT_FIELD_CAP) -> FieldSpec:
             c //= p
         candidate = coeffs + [1]
         if is_irreducible(candidate, p):
-            return FieldSpec(p, n, tuple(candidate))
+            return tuple(candidate)
     raise FieldError("no irreducible polynomial found")  # unreachable
 
 

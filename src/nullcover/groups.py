@@ -18,6 +18,8 @@ Conventions (fixed once, used everywhere):
 
 Sumsets and uncovered counts all come from one kernel, `sumset_counts`:
 exact int64 Walsh-Hadamard arithmetic on 2-groups, a rounded real FFT elsewhere.
+Its first argument may stack several sets A along a leading axis against one B,
+whose transform is then computed once for all of them.
 """
 
 from __future__ import annotations
@@ -234,16 +236,31 @@ def linear_bias(B: GroupSubset):
 def sumset_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """int64 r(x) = #{(s, t) in A x B : s + t = x}, for boolean masks shaped like the group.
 
-    On (Z_2)^r: wht(wht(a) * wht(b)) / 2^r, exact, since every partial sum is at most
-    |G| sqrt(|A| |B|) <= |G|^2 < 2^48 (Cauchy-Schwarz, Parseval, |G| <= 2^24).  Elsewhere:
-    the rint of the rfftn/irfftn product, each count off by about log2|G| 2^-53 sqrt(|A| |B|),
-    far below 1/2, before rounding.
+    `a` may carry one leading batch axis, one member A per row: B is transformed once,
+    then each row is transformed, multiplied and inverted in turn, so no stacked product
+    is ever held, and the result has a's shape.  On (Z_2)^r: wht(wht(a) * wht(b)) / 2^r,
+    exact, since every partial sum is at most |G| sqrt(|A| |B|) <= |G|^2 < 2^48
+    (Cauchy-Schwarz, Parseval, |G| <= 2^24).  Elsewhere: the rint of the rfftn/irfftn
+    product, each count off by about log2|G| 2^-53 sqrt(|A| |B|), far below 1/2, before
+    rounding.
     """
-    shape, axes = a.shape, tuple(range(a.ndim))
+    shape, axes = b.shape, tuple(range(b.ndim))
     if all(m == 2 for m in shape):
-        return (wht_int(wht_int(a, shape) * wht_int(b, shape), shape) >> a.ndim).reshape(shape)
-    fa, fb = np.fft.rfftn(a, axes=axes), np.fft.rfftn(b, axes=axes)
-    return np.rint(np.fft.irfftn(fa * fb, s=shape, axes=axes)).astype(np.int64)
+        wb = wht_int(b, shape)
+
+        def counts(row):
+            return (wht_int(wht_int(row, shape) * wb, shape) >> b.ndim).reshape(shape)
+    else:
+        fb = np.fft.rfftn(b, axes=axes)
+
+        def counts(row):
+            return np.rint(np.fft.irfftn(np.fft.rfftn(row, axes=axes) * fb, s=shape, axes=axes)).astype(np.int64)
+    if a.ndim == b.ndim:
+        return counts(a)
+    out = np.empty(a.shape, dtype=np.int64)
+    for row, dst in zip(a, out):
+        dst[...] = counts(row)
+    return out
 
 
 def sumset(A: GroupSubset, B: GroupSubset) -> GroupSubset:

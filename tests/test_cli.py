@@ -174,11 +174,20 @@ class TestDimension:
     ("cover", "--family", "{dir}", "--eps", "1/2", "--seed", "1"),
     ("dimension", "--set", "{dir}"),
     ("verify", "{dir}"),
+    # an integer literal beyond Python's 4300-digit str-to-int limit
+    ("cover", "--family", "{huge_family}", "--eps", "1/2", "--seed", "1"),
+    ("verify", "{huge_trace}"),
 ])
 def test_usage_error_exit_2(capsys, tmp_path, argv):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
-    code, _, err = run(capsys, *(a.format(empty=empty, dir=tmp_path) for a in argv))
+    huge = "9" * 5000
+    huge_family = tmp_path / "huge_family.json"
+    huge_family.write_text(f'{{"d": 1, "kind": "grid", "N": 8, "members": [[[{huge}]]]}}')
+    huge_trace = tmp_path / "huge_trace.json"
+    huge_trace.write_text(f'{{"kind": "rrp", "frame_denominator": {huge}}}')
+    paths = {"empty": empty, "dir": tmp_path, "huge_family": huge_family, "huge_trace": huge_trace}
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]

@@ -1,5 +1,7 @@
 """Random covering designs, lifts, pixel verification, the greedy piece cover."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -28,7 +30,7 @@ from nullcover.elementary import (
     merge_intervals,
     points_plus,
 )
-from nullcover.groups import GroupSubset, sumset
+from nullcover.groups import GroupSubset, sumset, sumset_counts
 
 
 class TestIntervals:
@@ -176,6 +178,53 @@ class TestRandomCover:
         with pytest.raises(RetryBudgetError, match="0 attempts"):
             random_cover_complement(fam, Fraction(1, 2), seed=0, max_draws=0)
 
+    def test_n2_grid_family_takes_the_wht_branch(self):
+        # N = 2: the group is (Z_2)^6, so the batched check runs on the exact WHT path
+        rng = np.random.default_rng(14)
+        members = [np.array([[int(b) for b in f"{x:06b}"] for x in rng.choice(64, size=s, replace=False)])
+                   for s in (30, 36, 40)]
+        fam = SetFamily(d=6, kind="grid", N=2, members=members)
+        B, cert = random_cover_complement(fam, Fraction(1, 2), seed=7)
+        assert B.group.moduli == (2,) * 6 and B.size == 32
+        for m in members:
+            A = GroupSubset.from_members(B.group, [tuple(r) for r in m])
+            assert sumset(A, B).size == 64
+
+
+def scalar_fisher_yates(rng, n, size):
+    """The partial Fisher-Yates loop with one scalar draw per swap, on a sparse
+    copy of range(n): the reference the one-call draw must reproduce."""
+    idx = {}
+    for i in range(size):
+        j = i + int(rng.integers(0, n - i))
+        idx[i], idx[j] = idx.get(j, j), idx.get(i, i)
+    return np.sort(np.array([idx.get(i, i) for i in range(size)], dtype=np.int64))
+
+
+UNIFORM_SUBSET_CASES = [
+    (1, 0), (1, 1), (2, 1), (2, 2), (3, 3), (7, 4), (64, 32), (64, 64), (100, 1),
+    (255, 200), (256, 256), (1000, 999), (4096, 51), (4096, 4096), (65536, 1024),
+    ((1 << 31) - 1, 50), (1 << 31, 50), ((1 << 32) - 1, 50), (1 << 32, 50),
+    ((1 << 32) + 1, 50), ((1 << 32) + 5, 300), (1 << 33, 1), (1 << 33, 400),
+    (10**12, 100), ((1 << 62) + 3, 20),
+]
+
+
+@pytest.mark.parametrize("n, size", UNIFORM_SUBSET_CASES)
+def test_uniform_subset_one_call_matches_scalar_loop(n, size):
+    # numpy answers rng.integers(0, highs) with the scalar draws' values in
+    # order; that is its behaviour, not an API promise, so it is pinned here
+    from nullcover.covering import _uniform_subset
+
+    seed = n % 1000 + size
+    rng_vec, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _uniform_subset(rng_vec, n, size)
+    assert got.dtype == np.int64
+    assert got.tolist() == scalar_fisher_yates(rng_ref, n, size).tolist()
+    assert len(set(got.tolist())) == size and (size == 0 or 0 <= got[0] <= got[-1] < n)
+    # both leave the generator in the same state, so a redraw continues the same stream
+    assert rng_vec.bit_generator.state == rng_ref.bit_generator.state
+
 
 class TestLift:
     def test_lift_roundtrip_dimensions(self):
@@ -227,6 +276,64 @@ class TestPixelCoverMask:
                         expect = True
                         break
                 assert cov[p1, p2] == expect
+
+    def test_padded_oracle_random(self):
+        # the cyclic power-of-two grid against the zero-padded linear frame: d = 1
+        # and 2, B reaching -W and W - 1, windows anywhere, some empty
+        rng = np.random.default_rng(31)
+        for case in range(300):
+            d = 1 + case % 2
+            W = 1 << int(rng.integers(1, 6 - d))
+            a = np.argwhere(rng.random((W,) * d) < rng.uniform(0.05, 0.5))
+            b = np.argwhere(rng.random((2 * W,) * d) < rng.uniform(0.3, 0.95)) - W
+            if case % 3 == 0:  # both extreme cells present
+                b = np.concatenate([b, np.full((1, d), -W), np.full((1, d), W - 1)])
+            lo = rng.integers(-W - 2, W + 2, d)
+            hi = lo + rng.integers(1, 3 * W, d)
+            if case % 4 == 0:
+                lo, hi = np.zeros(d, dtype=np.int64), np.full(d, W)
+            if case % 10 == 9:
+                hi[-1] = lo[-1]
+            got = pixel_cover_mask(a, b, d, lo, hi)
+            want = padded_pixel_cover_mask(a, b, d, lo, hi)
+            assert got.shape == want.shape and np.array_equal(got, want), case
+
+
+def padded_pixel_cover_mask(member_hcells, b_hcells, d, window_lo, window_hi):
+    """`pixel_cover_mask` on masks zero-padded to the linear-convolution shape,
+    where cyclic sums never wrap: the reference for the cyclic grid."""
+    from nullcover.covering import _erode_mask
+
+    member_hcells = np.asarray(member_hcells, dtype=np.int64).reshape(-1, d)
+    b_hcells = np.asarray(b_hcells, dtype=np.int64).reshape(-1, d)
+    window_lo = np.asarray(window_lo, dtype=np.int64).reshape(d)
+    window_hi = np.asarray(window_hi, dtype=np.int64).reshape(d)
+    out = np.zeros(tuple(window_hi - window_lo), dtype=bool)
+    if b_hcells.size == 0 or member_hcells.size == 0:
+        return out
+    a_lo = member_hcells.min(axis=0)
+    b_lo = b_hcells.min(axis=0)
+    a_idx, b_idx = member_hcells - a_lo, b_hcells - b_lo
+    full = tuple(int(x) for x in a_idx.max(axis=0) + b_idx.max(axis=0) + 1)
+    a_mask = np.zeros(full, dtype=bool)
+    a_mask[tuple(a_idx.T)] = True
+    b_mask = np.zeros(full, dtype=bool)
+    b_mask[tuple(b_idx.T)] = True
+    b_er = _erode_mask(b_mask)
+    if not b_er.any():
+        return out
+    covered = sumset_counts(a_mask, b_er) >= 1  # index p relative to a_lo + b_lo, p = j + t
+    base = a_lo + b_lo + 1
+    src_lo = np.maximum(window_lo - base, 0)
+    src_hi = np.minimum(window_hi - base, np.array(covered.shape))
+    if np.any(src_hi <= src_lo):
+        return out
+    dst_lo = src_lo + base - window_lo
+    dst_hi = src_hi + base - window_lo
+    out[tuple(slice(int(l), int(h)) for l, h in zip(dst_lo, dst_hi))] = covered[
+        tuple(slice(int(l), int(h)) for l, h in zip(src_lo, src_hi))
+    ]
+    return out
 
 
 def dense_cube_member(rng, d, pe, density):
@@ -293,6 +400,50 @@ class TestDyadicCover:
         hc = np.unique(bigger >> 0, axis=0)
         cov = pixel_cover_mask(hc, hb, 1, [0], [512])
         assert cov.all()
+
+
+def _grid_family(seed, N, d, sizes):
+    rng = np.random.default_rng(seed)
+    members = [np.stack(np.unravel_index(rng.choice(N**d, size=s, replace=False), (N,) * d), axis=1)
+               for s in sizes]
+    return SetFamily(d=d, kind="grid", N=N, members=members)
+
+
+def _cube_family(seed, d, pe, density, count):
+    rng = np.random.default_rng(seed)
+    return SetFamily(d=d, kind="cube", point_exponent=pe,
+                     members=[np.argwhere(rng.random((1 << pe,) * d) < density) for _ in range(count)])
+
+
+def _digest(out: dict) -> str:
+    return hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedOutputs:
+    """sha256 of B's indices or cells and the certificate JSON on fixed seeded
+    families, recorded before the draw and the pixel check were rewritten, so a
+    later kernel change cannot drift silently."""
+
+    @pytest.mark.parametrize("family, eps, seed, digest", [
+        ((11, 4096, 1, [420, 450, 480]), "1/16", 5,
+         "5ee0681c95d400529b45d5e64c16c39c23d5a054f8319a862bf4b6a232177cfe"),
+        ((12, 64, 2, [420, 450, 480]), "1/16", 6,
+         "c75235b7ac3eb7d8e410fe9de2be367ab402f3ed1caae75a05583c7de4f41faa"),
+        ((13, 2, 6, [30, 36, 40]), "1/2", 7,  # (Z_2)^6: the WHT branch
+         "c48cc92f99584e11762447a6ac7f124c28a55de5e3ac7c43d552ccaa521617ad"),
+    ], ids=["d1", "d2", "z2"])
+    def test_random_cover(self, family, eps, seed, digest):
+        B, cert = random_cover_complement(_grid_family(*family), Fraction(eps), seed)
+        out = {"b_indices": np.flatnonzero(B.mask).tolist(), "certificate": cert.to_json_dict()}
+        assert _digest(out) == digest
+
+    @pytest.mark.parametrize("family, g, seed, digest", [
+        ((21, 1, 9, 0.85, 3), 8, 8, "e0146d4ac7768ec2894b78cee257cc17ac8869fe59e82e91c9a86002875c53fe"),
+        ((22, 2, 7, 0.8, 2), 6, 9, "1d02fc95854ff1d19e016d24c80e5782c864140a55e3db593683f883198b97d8"),
+    ], ids=["d1", "d2"])
+    def test_dyadic_cover(self, family, g, seed, digest):
+        res = dyadic_cover_complement(_cube_family(*family), g, Fraction(9, 10), seed)
+        assert _digest({"cells": res.cells.tolist(), "certificate": res.certificate}) == digest
 
 
 class TestFamilyHausdorffCount:

@@ -99,6 +99,14 @@ class TestMakeField:
         with pytest.raises(FieldError):
             make_field(2, 30)
 
+    def test_cached_modulus_still_checks_every_call(self):
+        # the modulus search is cached per (p, n); the cap and primality checks are not
+        assert make_field(2, 12).modulus == make_field(2, 12, cap=1 << 12).modulus
+        with pytest.raises(FieldError):
+            make_field(2, 12, cap=1 << 11)
+        with pytest.raises(FieldError):
+            make_field(4, 2)
+
     def test_serialization_roundtrip(self):
         spec = make_field(3, 3)
         assert FieldSpec.from_json_dict(spec.to_json_dict()) == spec

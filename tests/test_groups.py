@@ -1,6 +1,7 @@
 """Fourier/sumset machinery tests against direct character-sum oracles."""
 
 import cmath
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -239,6 +240,24 @@ class TestSumset:
         S = sumset(A, B)
         off = np.abs(conv.values[~S.mask])
         assert off.size == 0 or off.max() < 1e-12
+
+    @pytest.mark.parametrize("moduli", [(7,), (16,), (6, 10), (8, 8), (2,), (2,) * 5])
+    def test_batch_equals_per_row_calls(self, moduli):
+        # one leading batch axis on a: B transformed once, the same counts as row by row
+        rng = np.random.default_rng(len(moduli) * 100 + moduli[0])
+        a = rng.random((4,) + moduli) < 0.3
+        b = rng.random(moduli) < 0.4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. numpy's `s` without `axes`
+            got = sumset_counts(a, b)
+            rows = [sumset_counts(row, b) for row in a]
+        assert got.dtype == np.int64 and got.shape == a.shape
+        assert np.array_equal(got, np.stack(rows))
+        for row, counts in zip(a, got):  # and each row against the pair enumeration
+            g = FiniteAbelianGroup(moduli)
+            A, B = GroupSubset(g, row), GroupSubset(g, b)
+            want = sumset_count_oracle(A, B)
+            assert {g.element(i): int(c) for i, c in enumerate(counts.reshape(-1)) if c} == want
 
 
 class TestCoverReport:
