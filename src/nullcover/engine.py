@@ -37,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -49,9 +49,6 @@ from nullcover.elementary import (
 )
 from nullcover.elementary import points_plus as _covered_union
 from nullcover.elementary import twice_excess as _directed_hausdorff_intervals
-
-if TYPE_CHECKING:
-    from nullcover.bias_sets import PatchTemplate
 
 # Names the engine calls from the rrp half (covering) and from the cascade
 # half (bias_sets, which brings gf and groups), imported on first use so that
@@ -438,9 +435,10 @@ def _delta_tail_ok(deltas: list[Fraction]) -> bool:
 
 
 def _field(obj, key: str, kind: type):
-    """obj[key] of a stored trace, which must be a `kind`."""
+    """obj[key] of a stored trace, which must be a `kind`; JSON true and
+    false are no ints."""
     value = obj.get(key) if isinstance(obj, dict) else None
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise EngineError(f"trace field {key!r} must be a {kind.__name__}, not {type(value).__name__}")
     return value
 
@@ -525,9 +523,19 @@ def verify_rrp_trace(data: dict) -> dict:
 # full-measure cascade (d = 1, implicit uniform grid test sets)
 
 
+# far finer than any cascade stage reaches; bounds the shifts `GridSet.cells`
+# makes for a grid read from a trace
+MAX_SPACING_EXPONENT = 1 << 12
+
+
 @dataclass
 class GridSet:
-    """Implicit test set: the 2^-spacing_exponent grid inside the region."""
+    """Implicit test set: the points i 2^-spacing_exponent of the region.
+
+    The region is stored merged as closed [lo, hi] pairs, but the point rule
+    is half-open: the set holds the grid points of each [lo, hi), so a grid
+    point at a right endpoint is not in it.
+    """
 
     spacing_exponent: int
     region: list  # [(lo, hi)] Fractions, merged
@@ -535,21 +543,34 @@ class GridSet:
     def __post_init__(self):
         self.region = merge_intervals([(frac(a), frac(b)) for a, b in self.region])
 
-    def count_in(self, lo: Fraction, hi: Fraction) -> int:
-        """Number of occupied 2^-g cells inside [lo, hi] for g = spacing."""
-        total = 0
+    def cells(self, level: int) -> np.ndarray:
+        """Sorted indices c of the cells [c 2^-level, (c + 1) 2^-level) of
+        [0, 1) that hold a point of the set.  Per interval the points are i in
+        [ceil(a 2^s), ceil(b 2^s)) of [a, b) clipped to [0, 1), and point i
+        lies in cell (i 2^level) >> s: a contiguous run when s >= level, a
+        stride of 2^(level - s) when s < level."""
+        s = self.spacing_exponent
+        step, last, runs = 1 << max(level - s, 0), -1, []
         for a, b in self.region:
-            a2, b2 = max(a, lo), min(b, hi)
-            if b2 > a2:
-                sp = Fraction(1, 1 << self.spacing_exponent)
-                total += math.ceil((b2 - a2) / sp)
-        return total
+            i0, i1 = (math.ceil(min(max(x, 0), 1) * (1 << s)) for x in (a, b))
+            if i1 > i0:  # neighbouring intervals may share a cell when s > level
+                first = max((i0 << level) >> s, last + 1)
+                last = ((i1 - 1) << level) >> s
+                runs.append(np.arange(first, last + 1, step, dtype=np.int64))
+        return np.concatenate(runs) if runs else np.zeros(0, dtype=np.int64)
 
     def to_json_dict(self):
         return {
             "spacing_exponent": self.spacing_exponent,
             "region": [[str(a), str(b)] for a, b in self.region],
         }
+
+    @classmethod
+    def from_json_dict(cls, data: dict) -> "GridSet":
+        s = _field(data, "spacing_exponent", int)
+        if not 0 <= s <= MAX_SPACING_EXPONENT:
+            raise EngineError(f"grid spacing exponent {s} is outside [0, {MAX_SPACING_EXPONENT}]")
+        return cls(s, [_rationals(iv, "region endpoint", 2) for iv in _field(data, "region", list)])
 
 
 @dataclass
@@ -586,12 +607,19 @@ def full_measure_run(
         (b) B_{j+1} inside union of 4 Q_s^(j),
         (c) |B_j| <= 2^-j for j >= 1 (j = 0 is the [-1,1] seed, measure 2^d,
             recorded as the initialization convention),
-        (d) |[0,1] minus (A'_j + B_j)| <= (1 - 2^-j) eps, computed exactly
-            with A'_j the stage grid of the test set.
+        (d) |[0,1] minus (A'_j + B_j)| <= (1 - 2^-j) eps, bounded by the
+            cyclic counts of the A-cells + B* in Z_m: at stage 1 on the cells
+            of the grid itself (`GridSet.cells`), at later stages on the
+            canonical interior cube, every sub-cell of which the grid fills.
+            An exact interval check of (d) on the emitted cells is still open
+            (ROADMAP item 1).
 
-    Deeper stages reuse one template per stage (patches are translates), so
-    cube counts stay analytic; every inequality is checked in exact rational
-    arithmetic and the per-stage cyclic coverage certificates come from the
+    Stage 1 is one patch of the unit cube whose wraps {-2, -1, 0, 1} reach
+    a0 + [-1, 1] for every a0 in [0, 1]; the grid must occupy N' =
+    threshold_nz of its cells.  Deeper stages reuse one template per stage
+    (patches are translates, wraps {-1, 0, 1}), so cube counts stay
+    analytic; every inequality is checked in exact rational arithmetic and
+    the per-stage cyclic coverage certificates come from the
     Walsh-Hadamard-exact bias of the underlying k-th power sets.
     """
     _bind("ParameterError", "build_patch_template")
@@ -606,91 +634,51 @@ def full_measure_run(
     )
     if eta_schedule is None:
         eta_schedule = [Fraction(1, 4)] + [Fraction(1, 2)] * (depth - 1)
-    cube_level = 0
     measure = Fraction(2)  # B_0 = [-1, 1]
-    stage0 = FullMeasureStage(
+    trace.steps.append(FullMeasureStage(
         j=0, cube_level=0, cube_count=2, template_cert=None, measure=measure,
         checks={"check_c_measure": True, "note": "B_0 = [-1,1], measure 2^d by convention"},
-    )
-    trace.steps.append(stage0)
-    # chain state: B_j = stage-1 corners, refined by one template per stage
-    corners: Optional[np.ndarray] = None
-    cube_count_implicit = 2
-    chain_templates: list[PatchTemplate] = []
-    chain_levels: list[int] = []
-    uncovered_prev = Fraction(0)
+    ))
+    cube_level, cube_count, uncovered = 0, 1, Fraction(0)
     for j in range(depth):
         eps_j = eps / (1 << (j + 1))
-        eta_j = frac(eta_schedule[j])
         if j == 0:
-            # single whole-target patch: cover a0 + [-1, 1] for a0 in [0,1],
-            # wraps {-2,-1,0,1}; budget |B_1| <= eta_0 * |B_0|
-            budget = eta_j * measure
-            wraps = (-2, -1, 0, 1)
-            eta_tpl = budget  # measured against the unit A-cube
-            tpl = build_patch_template(eta_tpl, eps_j, wraps=wraps, min_m=2, cap=cap)
-            need = tpl.threshold_nz
-            m = tpl.m
-            have = grid.count_in(Fraction(0), Fraction(1))
-            a_cells = _grid_cells_in(grid, 0, Fraction(0), m)
+            # budget |B_1| <= eta_0 |B_0|, measured against the unit A-cube
+            tpl = build_patch_template(frac(eta_schedule[0]) * measure, eps_j,
+                                       wraps=(-2, -1, 0, 1), min_m=2, cap=cap)
+            m, need = tpl.m, tpl.threshold_nz
+            level = m.bit_length() - 1
+            a_cells = grid.cells(level)
             if a_cells.size < need:
                 raise EngineError(
-                    f"largeness certificate insufficient at stage 0: need N' = {need}, "
-                    f"have {a_cells.size} occupied cells (grid points {have})"
+                    f"largeness certificate insufficient at stage 1: need N' = {need}, "
+                    f"have {a_cells.size} occupied 2^-{level} cells"
                 )
-            u_star = tpl.cyclic_uncovered(a_cells)
-            # also certify a threshold-sized subsample (the sparse-regime check)
-            sub = a_cells[(np.arange(need, dtype=np.int64) * a_cells.size) // need]
-            u_sub = tpl.cyclic_uncovered(sub)
-            if not (u_sub <= eps_j * m):
-                raise EngineError("cyclic coverage certificate failed at stage 0")
-            corners = tpl.cells.copy()  # level-`log2 m` cells, signed
-            cube_count_implicit = int(corners.size)
-            measure_next = Fraction(int(corners.size), m)
-            uncovered = Fraction(u_star, m)  # target [0,1] has measure 1
+            measure = Fraction(1)  # the patch replaces the unit cube, not B_0
+            in_4q = (-2 * m - 1, 2 * m)
         else:
-            # per-cube patches, wraps {-1, 0, 1}; one shared template
-            budget_ratio = Fraction(1, 1 << (j + 1)) / measure  # |B_{j+1}| <= 2^-(j+1)
-            eta_tpl = min(eta_j, budget_ratio)
+            # per-cube patches, one shared template; budget |B_{j+1}| <= 2^-(j+1)
+            eta_tpl = min(frac(eta_schedule[j]), Fraction(1, 1 << (j + 1)) / measure)
             tpl = build_patch_template(eta_tpl, eps_j, wraps=(-1, 0, 1), min_m=2, cap=cap)
-            m = tpl.m
-            need = tpl.threshold_nz
-            # largeness: every D_{cube_level} cube meeting the grid must hold
-            # `need` occupied sub-cells at the operative scale
-            sub_level = cube_level + int(math.log2(m))
-            cap_cells = m
-            if need > cap_cells:
+            m, need = tpl.m, tpl.threshold_nz
+            level = cube_level + m.bit_length() - 1
+            if grid.spacing_exponent < level:
                 raise EngineError(
-                    f"stage {j}: threshold N' = {need} exceeds per-cube capacity {cap_cells}"
+                    f"stage {j + 1}: grid spacing 2^-{grid.spacing_exponent} coarser than "
+                    f"operative cells 2^-{level}; required N' = {need}"
                 )
-            if grid.spacing_exponent < sub_level:
-                raise EngineError(
-                    f"stage {j}: grid spacing 2^-{grid.spacing_exponent} coarser than "
-                    f"operative cells 2^-{sub_level}; required N' = {need}"
-                )
-            # the grid fills every sub-cell of cubes it meets away from the
-            # region boundary; certify on the canonical interior cube
-            a_cells = np.arange(m, dtype=np.int64)
-            u_full = tpl.cyclic_uncovered(a_cells)
-            sub = a_cells[(np.arange(need, dtype=np.int64) * m) // need]
-            u_sub = tpl.cyclic_uncovered(sub)
-            if not (u_sub <= eps_j * m):
-                raise EngineError(f"cyclic coverage certificate failed at stage {j}")
-            chain_templates.append(tpl)
-            chain_levels.append(sub_level)
-            cube_count_implicit *= tpl.cell_count
-            measure_next = measure * Fraction(tpl.cell_count, m)
-            u_star = u_full
-            uncovered = uncovered_prev + Fraction(u_full, m)
-        # (b): template cells within the 4-fold inflation of the parent cube
-        if j == 0:
-            lo_cell, hi_cell = int(corners.min()), int(corners.max())
-            check_b = -2 * m - 1 <= lo_cell and hi_cell < 2 * m
-        else:
-            lo_cell, hi_cell = int(tpl.cells.min()), int(tpl.cells.max())
-            # relative to a unit cube [0,1] scaled frame: 4Q = [-3/2, 5/2]
-            check_b = -Fraction(3, 2) * m <= lo_cell and hi_cell < Fraction(5, 2) * m
-        check_c = measure_next <= Fraction(1, 1 << (j + 1))
+            a_cells = np.arange(m, dtype=np.int64)  # the canonical interior cube
+            in_4q = (-Fraction(3, 2) * m, Fraction(5, 2) * m)  # 4Q = [-3/2, 5/2] of the unit cube
+        u_full = tpl.cyclic_uncovered(a_cells)
+        # also certify a threshold-sized subsample (the sparse-regime check)
+        u_sub = tpl.cyclic_uncovered(a_cells[(np.arange(need, dtype=np.int64) * a_cells.size) // need])
+        if not (u_sub <= eps_j * m):
+            raise EngineError(f"cyclic coverage certificate failed at stage {j + 1}")
+        cube_level, cube_count = level, cube_count * tpl.cell_count
+        measure *= Fraction(tpl.cell_count, m)
+        uncovered += Fraction(u_full, m)
+        check_b = in_4q[0] <= int(tpl.cells.min()) and int(tpl.cells.max()) < in_4q[1]
+        check_c = measure <= Fraction(1, 1 << (j + 1))
         bound_d = (1 - Fraction(1, 1 << (j + 1))) * eps
         check_d = uncovered <= bound_d
         checks = {
@@ -700,25 +688,17 @@ def full_measure_run(
             "check_d_uncovered": bool(check_d),
             "uncovered_bound": str(bound_d),
             "uncovered_value": str(uncovered),
-            "cyclic_uncovered_full": int(u_star),
+            "cyclic_uncovered_full": int(u_full),
             "cyclic_uncovered_subsample": int(u_sub),
-            "threshold_nz": int(tpl.threshold_nz),
+            "threshold_nz": int(need),
             "threshold_spec_reference": int(tpl.threshold_spec),
         }
         if not (check_b and check_c and check_d):
             raise EngineError(f"full-measure invariant failure at stage {j + 1}: {checks}")
-        cube_level = int(math.log2(tpl.m)) if j == 0 else chain_levels[-1]
-        stage = FullMeasureStage(
-            j=j + 1,
-            cube_level=cube_level,
-            cube_count=cube_count_implicit,
-            template_cert=tpl.certificate(),
-            measure=measure_next,
-            checks=checks,
-        )
-        trace.steps.append(stage)
-        measure = measure_next
-        uncovered_prev = uncovered
+        trace.steps.append(FullMeasureStage(
+            j=j + 1, cube_level=cube_level, cube_count=cube_count,
+            template_cert=tpl.certificate(), measure=measure, checks=checks,
+        ))
     trace.meta["final_measure"] = str(measure)
     return trace
 
@@ -726,35 +706,28 @@ def full_measure_run(
 def verify_full_measure_trace(data: dict) -> dict:
     """Re-validate a serialized cascade trace: the construction is
     deterministic, so rebuild from the recorded inputs and compare byte for
-    byte, then recheck the stage inequalities from the stored record."""
-    meta = data["meta"]
-    grid = GridSet(
-        spacing_exponent=int(meta["grid"]["spacing_exponent"]),
-        region=[(Fraction(a), Fraction(b)) for a, b in meta["grid"]["region"]],
-    )
-    rebuilt = full_measure_run(grid, Fraction(meta["eps"]), int(meta["depth"]))
-    same = json.dumps(rebuilt.to_json_dict(), sort_keys=True) == json.dumps(data, sort_keys=True)
+    byte, then recheck the stage inequalities from the stored record.  A
+    field of the wrong type, a rational that does not parse, a grid spacing
+    outside [0, MAX_SPACING_EXPONENT], or a stage count other than the stored
+    depth (at least 1) plus the B_0 record, raises EngineError."""
+    meta = _field(data, "meta", dict)
+    depth = _field(meta, "depth", int)
+    records = _field(data, "steps", list)
+    if depth < 1 or len(records) != depth + 1:
+        raise EngineError(f"trace of depth {depth} holds {len(records)} stage records")
+    grid = GridSet.from_json_dict(_field(meta, "grid", dict))
+    eps = _rational(meta.get("eps"), "eps")
     steps = []
-    ok = True
-    for s in data["steps"][1:]:
-        j = int(s["j"])
-        measure_ok = Fraction(s["measure"]) <= Fraction(1, 1 << j)
-        unc_ok = Fraction(s["checks"]["uncovered_value"]) <= Fraction(s["checks"]["uncovered_bound"])
+    for n, s in enumerate(records[1:], start=1):
+        j = _field(s, "j", int)
+        if j != n:
+            raise EngineError(f"stage record {n} is numbered {j}")
+        checks = _field(s, "checks", dict)
+        measure_ok = _rational(s.get("measure"), "measure") <= Fraction(1, 1 << j)
+        unc_ok = (_rational(checks.get("uncovered_value"), "uncovered_value")
+                  <= _rational(checks.get("uncovered_bound"), "uncovered_bound"))
         steps.append({"j": j, "measure_ok": measure_ok, "uncovered_ok": unc_ok})
-        ok = ok and measure_ok and unc_ok
-    return {"passed": bool(same and ok), "rebuild_identical": bool(same), "steps": steps}
-
-
-def _grid_cells_in(grid: GridSet, level: int, corner: Fraction, m: int) -> np.ndarray:
-    """Occupied width-(2^-level / m) cells of the cube at `corner`, as indices."""
-    w = Fraction(1, (1 << level) * m)
-    out = []
-    for a, b in grid.region:
-        a2, b2 = max(a, corner), min(b, corner + Fraction(1, 1 << level))
-        if b2 > a2:
-            c0 = math.floor((a2 - corner) / w)
-            c1 = math.ceil((b2 - corner) / w) - 1
-            out.append(np.arange(c0, c1 + 1, dtype=np.int64))
-    if not out:
-        return np.zeros(0, dtype=np.int64)
-    return np.unique(np.concatenate(out))
+    rebuilt = full_measure_run(grid, eps, depth)
+    same = json.dumps(rebuilt.to_json_dict(), sort_keys=True) == json.dumps(data, sort_keys=True)
+    passed = same and all(s["measure_ok"] and s["uncovered_ok"] for s in steps)
+    return {"passed": passed, "rebuild_identical": same, "steps": steps}

@@ -1,5 +1,6 @@
 """Parameter selection, Gauss complements, coverage bounds, lifts, patches."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from nullcover.bias_sets import (
     select_parameters,
     verify_coverage_bound,
 )
-from nullcover.elementary import merge_intervals
+from nullcover.elementary import covered_measure, merge_int, points_plus
 from nullcover.groups import FiniteAbelianGroup, GroupSubset, linear_bias, sumset
 
 
@@ -297,34 +298,24 @@ class TestPatchTemplate:
             assert u <= tpl.eps * m
 
     def test_full_grid_family_coverage(self):
-        # A = full operative grid of [0, side]: coverage of a0 + Q is complete
-        # up to the eps certificate, pixel-checked at delta_op / 2
+        # A = the cell centres (i + 1/2) w of all m cells of [0, 1], and of
+        # the threshold-sized subsample the cascade certifies; B = the union
+        # of corner + [c, c + 1] w over the template cells.  a0 + corner +
+        # [0, 1] lies inside A + B for every a0 tried, exactly, on the 1/D
+        # frame.  With m = 4096, dropping the wrap t = 0 leaves 263/8192 of
+        # the target uncovered at a0 = 0, t = +1 leaves 263/8192 at a0 = 1,
+        # and t = -1 leaves 1/8192 at a0 = 0.
         tpl = build_patch_template(Fraction(1, 2), Fraction(1, 4), wraps=(-1, 0, 1), min_m=128)
-        m = tpl.m
-        a_cells = np.arange(m, dtype=np.int64)
-        assert tpl.cyclic_uncovered(a_cells) == 0
-        # interval-level verification for one a0: a0 + Q subset of A + B, with
-        # B the union of corner + [c, c + 1] * w over the template cells c,
-        # merged so that a pixel straddling two touching cells counts
-        side, corner = Fraction(1), Fraction(3, 4)
-        a0 = Fraction(5, 17)  # arbitrary point of [0,1]
-        w = side / m
-        B = merge_intervals((corner + c * w, corner + (c + 1) * w) for c in tpl.cells.tolist())
-        # A points: cell centers, in half-cell pixel units relative to a0 + corner
-        lo = a0 + corner
-        pts = (np.arange(m) * 2 + 1).astype(np.int64)  # i*w + w/2 in units of w/2
-        off = float((Fraction(0) - lo) / (w / 2))
-        starts = np.array([float(u / (w / 2)) for u, _ in B])
-        ends = np.array([float(v / (w / 2)) for _, v in B])
-        npix = 2 * m * 3
-        pix = np.zeros(npix + 4, dtype=bool)
-        s_all = (pts[:, None] + starts[None, :] + off).reshape(-1)
-        e_all = (pts[:, None] + ends[None, :] + off).reshape(-1)
-        i0 = np.ceil(s_all - 1e-9).astype(np.int64)
-        i1 = np.floor(e_all + 1e-9).astype(np.int64)
-        keep = (i1 > i0) & (i1 > 0) & (i0 < npix)
-        for a, b in zip(np.clip(i0[keep], 0, npix), np.clip(i1[keep], 0, npix)):
-            pix[a:b] = True
-        target_pix = int(2 * m)  # side / (w/2)
-        covered = int(pix[:target_pix].sum())
-        assert covered >= (1 - float(tpl.eps)) * target_pix
+        m, need = tpl.m, tpl.threshold_nz
+        corner, a0s = Fraction(3, 4), [Fraction(0), Fraction(5, 17), Fraction(1, 2), Fraction(1)]
+        D = math.lcm(2 * m, corner.denominator, *(a0.denominator for a0 in a0s))
+        w, c = D // m, tpl.cells.astype(np.int64)
+        b_lo, b_hi = merge_int(int(corner * D) + c * w, int(corner * D) + (c + 1) * w)
+        full = np.arange(m, dtype=np.int64)
+        for a_cells in (full, full[(np.arange(need, dtype=np.int64) * m) // need]):
+            assert tpl.cyclic_uncovered(a_cells) == 0
+            parts = [points_plus(p, b_lo, b_hi) for p in np.array_split((2 * a_cells + 1) * (w // 2), 8)]
+            union = merge_int(np.concatenate([lo for lo, _ in parts]), np.concatenate([hi for _, hi in parts]))
+            for a0 in a0s:
+                lo = int((a0 + corner) * D)
+                assert int(covered_measure(*union, lo, lo + D)) == D, (a_cells.size, a0)

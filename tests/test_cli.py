@@ -269,11 +269,15 @@ class TestTraces:
     @pytest.mark.parametrize("argv", [
         ("rrp", "--cantor-depth", "4", "--grid-exp", "8", "--depth", "2", "--maps", "2"),
         ("full-measure", "--depth", "4"),
+        # stage 1 needs 769 occupied 2^-16 cells; {0, 1/4} and the 512 points
+        # of the 2^-10 grid in [0, 1/2) fall short
+        ("full-measure", "--spacing-exp", "2", "--depth", "1"),
+        ("full-measure", "--spacing-exp", "10", "--depth", "1"),
     ])
     def test_construction_failure_exit_1(self, capsys, argv):
-        code, _, err = run(capsys, *argv)
-        assert code == 1
-        assert err.startswith("certificate failure: ")
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("certificate failure: ") and len(err.splitlines()) == 1
 
 
 @pytest.fixture(scope="module")
@@ -317,8 +321,14 @@ def _exponent(data):  # refused before Fraction computes 10^(10^6)
     data["steps"][0]["volume"] = "1e1000000"
 
 
+def _booleans(data):  # JSON true is no int, though Python's True == 1
+    data["meta"]["depth"] = True
+    data["steps"] = data["steps"][:1]
+    data["steps"][0]["j"] = True
+
+
 @pytest.mark.parametrize("mutate", [_corner, _volume, _delta, _frame, _no_steps, _last_step_removed,
-                                    _image_off_frame, _exponent])
+                                    _image_off_frame, _exponent, _booleans])
 def test_rrp_single_tamper_fails_verify(capsys, tmp_path, rrp_trace_data, mutate):
     data = copy.deepcopy(rrp_trace_data)
     mutate(data)
@@ -326,7 +336,8 @@ def test_rrp_single_tamper_fails_verify(capsys, tmp_path, rrp_trace_data, mutate
     path.write_text(json.dumps(data))
     code, _, err = run(capsys, "verify", str(path))
     assert code == 1
-    message = {_image_off_frame: "is not on the 1/1048576 frame", _exponent: "is not a rational"}
+    message = {_image_off_frame: "is not on the 1/1048576 frame", _exponent: "is not a rational",
+               _booleans: "must be a int, not bool"}
     assert message.get(mutate, "") in err
 
 
@@ -347,7 +358,7 @@ def _mutate_field(data, field, junk, rng):
     *path, last = field.split(".")
     node = data
     for part in path:
-        node = node[rng.randrange(len(node))] if part == "*" else node[part]
+        node = node[rng.randrange(len(node)) if part == "*" else int(part) if part.isdigit() else part]
     key = rng.randrange(len(node)) if last == "*" else last
     if junk == "deleted":
         del node[key]
@@ -393,3 +404,31 @@ def test_rrp_changed_field_fails_verify(capsys, tmp_path, rrp_trace_data, field)
             step["j"] = rng.choice([n, n + 2, -1, 10**20])
         path.write_text(json.dumps(data))
         assert run(capsys, "verify", str(path))[0] == 1, (field, n)
+
+
+# every cascade trace field verify reads; stage record 1 holds the claims
+FM_READ = ["meta", "meta.depth", "meta.eps", "meta.grid", "meta.grid.spacing_exponent",
+           "meta.grid.region", "meta.grid.region.*", "meta.grid.region.*.*", "steps", "steps.*",
+           "steps.*.j", "steps.1.measure", "steps.1.checks", "steps.1.checks.uncovered_value",
+           "steps.1.checks.uncovered_bound"]
+
+
+@pytest.fixture(scope="module")
+def full_measure_trace_data(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fm") / "trace.json"
+    assert main(["full-measure", "--depth", "1", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def test_full_measure_trace_mutations_never_escape_main(capsys, tmp_path, full_measure_trace_data):
+    rng = random.Random(19)
+    path = tmp_path / "mutated.json"
+    codes = []
+    for field in FM_READ:
+        for junk in JUNK:
+            data = copy.deepcopy(full_measure_trace_data)
+            _mutate_field(data, field, junk, rng)
+            path.write_text(json.dumps(data))
+            codes.append(main(["verify", str(path)]))
+            capsys.readouterr()
+    assert set(codes) <= {0, 1} and codes.count(1) > 0.9 * len(codes)

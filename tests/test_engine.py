@@ -32,6 +32,11 @@ from nullcover.engine import (
 # builder must give the same pieces
 RRP_DEFAULT_HASH = "81a26b055725cd43fae47b3570dbb1c53e9cd4fe1db5ad251cee693b1a3db805"
 
+# content_hash of the default `nullcover full-measure` trace (depth 3, eps 1/2,
+# spacing 50) and of the depth-4 trace on the 2^-60 grid
+FULL_MEASURE_DEFAULT_HASH = "d79e915fedf1f1955221636568230ffc9689c96df7b33781a5192f2d60324e1e"
+FULL_MEASURE_DEPTH4_HASH = "e7f18a27eda69201d842d8f525bc2e609a80e3ffa8bcdb8ec04f96ff6b812d4f"
+
 
 def criterion_family():
     return FunctionFamily(
@@ -269,10 +274,40 @@ class TestFullMeasure:
         t2 = full_measure_run(grid, Fraction(1, 2), depth=2)
         assert t1.content_hash() == t2.content_hash()
 
-    def test_grid_counting(self):
-        grid = GridSet(spacing_exponent=4, region=[(Fraction(0), Fraction(1, 2))])
-        assert grid.count_in(Fraction(0), Fraction(1)) == 8
-        assert grid.count_in(Fraction(0), Fraction(1, 4)) == 4
+    @pytest.mark.parametrize("argv, expected", [
+        ((), FULL_MEASURE_DEFAULT_HASH),
+        (("--depth", "4", "--spacing-exp", "60"), FULL_MEASURE_DEPTH4_HASH),
+    ])
+    def test_cli_trace_hash_pinned(self, tmp_path, argv, expected):
+        out = tmp_path / "trace.json"
+        assert main(["full-measure", *argv, "--out", str(out)]) == 0
+        blob = json.dumps(json.loads(out.read_text()), sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == expected
+
+    @pytest.mark.parametrize("spacing", [2, 4, 10])
+    def test_grid_too_coarse_for_stage_one(self, spacing):
+        # stage 1 needs N' = 769 occupied 2^-16 cells; {i 2^-s} in [0, 1/2)
+        # occupies 2^(s-1) of them
+        grid = GridSet(spacing_exponent=spacing, region=[(Fraction(0), Fraction(1, 2))])
+        with pytest.raises(EngineError, match="N' = 769, have %d occupied" % (1 << (spacing - 1))):
+            full_measure_run(grid, Fraction(1, 2), depth=1)
+
+    @pytest.mark.parametrize("region", [
+        [(Fraction(1, 7), Fraction(3, 10)), (Fraction(5, 11), Fraction(9, 10))],
+        [(Fraction(-1, 3), Fraction(1, 5)), (Fraction(2, 9), Fraction(4, 3))],
+        [(Fraction(0), Fraction(1, 2))],
+    ])
+    def test_grid_cells_match_points(self, region):
+        # the cells of [0, 1) holding a point i 2^-s of the half-open region,
+        # by enumerating the points, at levels above, at and below s
+        for s in range(7):
+            grid = GridSet(spacing_exponent=s, region=region)
+            points = [Fraction(i, 1 << s) for i in range(1 << s)]
+            inside = [p for p in points if any(a <= p < b for a, b in region)]
+            for level in range(9):
+                cells = grid.cells(level)
+                assert cells.dtype == np.int64
+                assert cells.tolist() == sorted({int(p * (1 << level)) for p in inside}), (s, level)
 
 
 def test_frame_denominator():
