@@ -319,8 +319,9 @@ def lift_to_signed_box(B: GroupSubset, m: int, d: int) -> SignedBoxSet:
         raise ParameterError(f"B must live in Z_{m}^{d}")
     base = np.stack(np.unravel_index(np.flatnonzero(B.mask), B.group.moduli), axis=1)
     shifts = np.array(np.meshgrid(*([[-m, 0]] * d), indexing="ij"), dtype=np.int64).reshape(d, -1).T
+    # the translates of B inside [0, m)^d by {-m, 0}^d are disjoint, and
+    # SignedBoxSet sorts the rows
     pts = (base[None, :, :] + shifts[:, None, :]).reshape(-1, d)
-    pts = np.unique(pts, axis=0)
     return SignedBoxSet(d=d, m=m, points=pts)
 
 
@@ -478,8 +479,12 @@ def build_patch_template(
             )
         m0 = m + 1
     prop_cells = comp.codes  # codes in [0, m) are exactly the cell indices
-    nbr = np.unique(np.concatenate([prop_cells, prop_cells - 1]))
-    cells = np.unique(np.concatenate([nbr + t * m for t in wraps]))
+    # the cells c and c - 1 of each code c; B* holds no zero, so both lie in
+    # [0, m) and the wrap translates of them are disjoint
+    near = np.zeros(m, dtype=bool)
+    near[prop_cells] = near[prop_cells - 1] = True
+    nbr = np.flatnonzero(near)
+    cells = np.concatenate([nbr + t * m for t in sorted(set(wraps))])
     budget = int(eta * m)
     tpl = PatchTemplate(
         eta=eta,

@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=_positive_rational, required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--N", type=int)
-    sp.add_argument("--g", type=int, default=6, help="dyadic scale exponent for cube families")
+    sp.add_argument("--g", type=_nonneg_int, default=6, help="dyadic scale exponent for cube families")
     sp.add_argument("--out")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=_cmd_cover)

@@ -34,6 +34,7 @@ from nullcover.elementary import (
     covered_measure,
     first_gap,
     frac,
+    json_int,
     merge_int,
     points_plus,
     unique_cells,
@@ -43,6 +44,11 @@ from nullcover.groups import FiniteAbelianGroup, GroupSubset, sumset_counts
 
 class CoverError(ValueError):
     pass
+
+
+# the largest dense mask a construction allocates holds 2^MAX_MASK_BITS cells
+# (one member row, or one pixel grid); the constructions in use need 2^16
+MAX_MASK_BITS = 24
 
 
 class ThresholdError(CoverError):
@@ -102,13 +108,17 @@ class SetFamily:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SetFamily":
-        return cls(
-            d=int(data["d"]),
-            kind=data["kind"],
-            N=data.get("N"),
-            point_exponent=data.get("point_exponent"),
-            members=data["members"],
-        )
+        """A family read from JSON: d in [1, 62], and N >= 1 (grid) or
+        point_exponent in [0, 62] (cube), as JSON integers, and a list of
+        members; CoverError otherwise."""
+        d = json_int(data, "d", 1, 62, CoverError)
+        kind, members = data.get("kind"), data.get("members")
+        if not isinstance(members, list):
+            raise CoverError("members must be a list")
+        if kind == "grid":
+            return cls(d=d, kind=kind, N=json_int(data, "N", 1, math.inf, CoverError), members=members)
+        pe = json_int(data, "point_exponent", 0, 62, CoverError) if kind == "cube" else None
+        return cls(d=d, kind=kind, point_exponent=pe, members=members)  # any other kind is refused
 
 
 def _integer_rows(member, d: int) -> np.ndarray:
@@ -171,6 +181,8 @@ def random_cover_complement(
     eps = frac(eps)
     N, d = family.N, family.d
     n_total, shape = N**d, (N,) * d
+    if n_total > 1 << MAX_MASK_BITS:
+        raise CoverError(f"N^d = {N}^{d} cells exceed 2^{MAX_MASK_BITS}")
     K = size_threshold(eps, len(family.members), N, d)
     member_masks = np.zeros((len(family.members), n_total), dtype=bool)  # one row per member
     for mask, m in zip(member_masks, family.members):
@@ -373,6 +385,11 @@ def dyadic_cover_complement(
         raise CoverError("points must be at least at delta/2 resolution")
     if d * (g + 1) > 62:
         raise CoverError(f"d * (g + 1) = {d * (g + 1)} exceeds 62 bits of one int64 cell key")
+    if not family.members:
+        raise CoverError("the family has no members")
+    # the Hausdorff count masks hold 2^(d pe) cells, the pixel check's at most 2^(d (g + 3))
+    if d * max(pe, g + 3) > MAX_MASK_BITS:
+        raise CoverError(f"pixel masks of 2^{d * max(pe, g + 3)} cells exceed 2^{MAX_MASK_BITS}")
     m = 1 << g
     for pts in family.members:
         if pts.size and (pts.min() < 0 or pts.max() >= 1 << pe):
@@ -461,8 +478,9 @@ def greedy_piece_cover(
     A member that is a translate (points + c, target + c) of a member already
     walked is skipped: once (points, target) is walked, target lies inside
     points + union(T), and pieces are only ever added, so the translate is
-    covered too and its walk would add nothing.  Families of translated maps
-    make most members such translates.
+    covered too and its walk would add nothing.  The engine passes one map
+    per scale, so the translates left are those between anchors: windows of
+    a self-similar point set repeat, and so do their members.
     """
     offs: list[int] = []  # the chosen offsets, sorted
     measure = 0  # merged measure of union(T)

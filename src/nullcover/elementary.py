@@ -24,6 +24,15 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def json_int(data, key: str, lo: int, hi: float, error: type) -> int:
+    """data[key] of a parsed JSON object, which must be an int in [lo, hi];
+    `error` otherwise.  JSON true and false, floats and strings are no ints."""
+    value = data.get(key) if isinstance(data, dict) else None
+    if type(value) is not int or not lo <= value <= hi:
+        raise error(f"{key} must be an integer in [{lo}, {hi}], not {value!r:.40}")
+    return value
+
+
 def merge_intervals(intervals: Iterable[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
     """Sorted disjoint closure of a list of closed intervals; empty ones drop."""
     ivs = sorted((frac(a), frac(b)) for a, b in intervals if b > a)

@@ -10,23 +10,25 @@ intervals (width a power of two over D), so their volumes are exact dyadic
 rationals.
 
 Per iteration j, `rrp_run` builds one step-wide piece set T with a single
-call to `covering.greedy_piece_cover`: one obligation per (anchor a, map f),
-the images under f of the points within rho_j of a paired with the part of
-f(a) + K_j inside f(a0) + R, and every piece inside the hull of K_j widened
-by rho_j plus one piece width.  T covers all of them at once under
-the step-level budget 5^-d 2^-(j+1), and K_{j+1} is the merged union of T.
-The invariants
+call to `covering.greedy_piece_cover`: one obligation per (anchor a, map
+scale), for the first map f of the scale (the other maps of it are
+translates on the frame, and so are their obligations): the images under f
+of the points within rho_j of a paired with the part of f(a) + K_j inside
+f(a0) + R.  Every piece lies inside the hull of K_j widened by rho_j plus
+one piece width.  T covers all of them at once under the step-level budget
+5^-d 2^-(j+1), and K_{j+1} is the merged union of T.  The invariants
 
     (a) K_{j+1} inside the delta_j-neighborhood of K_j,
     (b) |K_j| <= 5^-d 2^-j  and  |K_j^(2 delta_j)| <= 2^-j,
     (c) f(a_0) + R inside f(A'_j) + K_j for every map,
 
-are then re-verified from the stored intervals, never assumed.  The
-paper-style per-pair volume budget |T_{s,a}| <= |Q_s| / (2*5^d*|A'_j|) is
-unattainable for finite point sets (it forces |A'| to grow geometrically
-inside shrinking windows), so the budget is enforced at the step level
-(|T| <= 5^-d 2^-(j+1), which is what the pair budget exists to give);
-the reference thresholds are still computed and recorded with their margins.
+are then re-verified by `_step_checks`, the one check the build and
+`verify_rrp_trace` share, never assumed.  The paper-style per-pair volume
+budget |T_{s,a}| <= |Q_s| / (2*5^d*|A'_j|) is unattainable for finite point
+sets (it forces |A'| to grow geometrically inside shrinking windows), so the
+budget is enforced at the step level (|T| <= 5^-d 2^-(j+1), which is what
+the pair budget exists to give); the reference thresholds are still
+computed and recorded with their margins.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import numpy as np
 from nullcover.elementary import (
     first_gap,
     frac,
+    json_int,
     merge_int,
     merge_intervals,
 )
@@ -190,10 +193,41 @@ def _frame_images(P: np.ndarray, family: FunctionFamily, D: int) -> list[np.ndar
     return images
 
 
+def _one_map_per_scale(family: FunctionFamily) -> list[int]:
+    """Index of the first map of each distinct scale, in family order.  On
+    the frame, f_i = f_0 + (o_i - o_0) D for maps of one scale, an integer
+    shift (`_frame_images` checks o D), so f_0 stands for all of them."""
+    first: dict[Fraction, int] = {}
+    for i, f in enumerate(family.maps):
+        first.setdefault(f.scale, i)
+    return list(first.values())
+
+
 def _neighborhood_measure(starts: np.ndarray, ends: np.ndarray, r):
     """Measure of the closed r-neighborhood of a nonempty merged union."""
     gaps = (starts[1:] - ends[:-1]).tolist()
     return int((ends - starts).sum()) + 2 * r + sum(min(g, 2 * r) for g in gaps)
+
+
+def _step_checks(prev, cur, delta: Fraction, j: int, D: int, targets) -> tuple[Fraction, Fraction, dict]:
+    """|K_j|, |K_{j-1}^(2 delta)| and the verdicts of step record j, exactly
+    on the 1/D frame, for K_j = `cur` and K_{j-1} = `prev` (nonempty merged
+    (starts, ends)): volume_ok |K_j| <= 1/(5 2^j); delta_ok 0 <= delta <=
+    2^-(j-1); nested_ok (a), K_j inside the closed delta-neighborhood of
+    K_{j-1}; neighborhood_ok (b), |K_{j-1}^(2 delta)| <= 2^-(j-1), a j >= 2
+    claim as the seed K_0 = R cannot meet it; coverage_ok (c), [lo, hi]
+    inside pts + K_j for each (pts, lo, hi) of `targets`, one per map scale."""
+    vol = Fraction(int((cur[1] - cur[0]).sum()), D)
+    nbhd = Fraction(_neighborhood_measure(*prev, 2 * delta * D), D)
+    ok = {
+        "volume_ok": vol <= Fraction(1, 5 * (1 << j)),
+        "delta_ok": 0 <= delta <= Fraction(1, 1 << (j - 1)),
+        "nested_ok": Fraction(_directed_hausdorff_intervals(cur, prev), 2 * D) <= delta,
+        "neighborhood_ok": j < 2 or nbhd <= Fraction(1, 1 << (j - 1)),
+        "coverage_ok": all(first_gap(*_covered_union(pts, *cur), lo, hi) is None
+                           for pts, lo, hi in targets),
+    }
+    return vol, nbhd, ok
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +342,8 @@ def rrp_run(
     r_lo_i, r_hi_i = _to_frame([r_lo, r_hi], D, "R endpoint").tolist()
     pts_plain = _to_frame(points, D, "point")
     images = _frame_images(pts_plain, family, D)  # [0] is f(a0) D
+    scaled = [images[i] for i in _one_map_per_scale(family)]
+    targets = [(img, int(img[0]) + r_lo_i, int(img[0]) + r_hi_i) for img in scaled]
 
     trace = ConstructionTrace(
         kind="rrp",
@@ -337,7 +373,7 @@ def rrp_run(
             i1 = int(np.searchsorted(pts_plain, pts_plain[ai] + rho, side="right"))
             if i1 <= i0:
                 continue
-            for img in images:
+            for img in scaled:
                 fa = int(img[ai])
                 lo2 = np.maximum(fa + k_cur[0], img[0] + r_lo_i)
                 hi2 = np.minimum(fa + k_cur[1], img[0] + r_hi_i)
@@ -346,10 +382,8 @@ def rrp_run(
                     obligations.append((np.sort(img[i0:i1]), np.stack((lo2[keep], hi2[keep]), 1)))
         if not obligations:
             raise EngineError(f"step {j}: no coverage obligations (empty windows)")
-        pieces_all = greedy_piece_cover(
-            obligations, piece_w=w_piece, allowed_lo=hull_lo, allowed_hi=hull_hi,
-            budget=budget_total,
-        )
+        pieces_all = greedy_piece_cover(obligations, piece_w=w_piece, allowed_lo=hull_lo,
+                                        allowed_hi=hull_hi, budget=budget_total)
         # reference threshold report (margin only; coverage is verified exactly)
         delta_p = Fraction(rho, D)
         m_ref = family_covering_number(family, delta_p / family.bilipschitz_c)
@@ -361,64 +395,35 @@ def rrp_run(
         }
         p_lo, p_hi = np.array(pieces_all, dtype=np.int64).reshape(-1, 2).T
         k_next = merge_int(p_lo, p_hi)
-        vol_next = Fraction(int((k_next[1] - k_next[0]).sum()), D)
         # delta_j is defined only now that K_{j+1} is known (the induction
-        # fixes each delta one step late): the smallest
-        # dyadic 2^-t bounding the one-sided Hausdorff excess of K_{j+1}
-        # over K_j, required to stay within 2^-j
+        # fixes each delta one step late): the smallest dyadic 2^-t bounding
+        # the one-sided Hausdorff excess of K_{j+1} over K_j, capped at 2^-j,
+        # where (a) then fails if K_{j+1} wanders further
         excess = Fraction(_directed_hausdorff_intervals(k_next, k_cur), 2 * D)
         delta_j = Fraction(1, 1 << j)
         while delta_j / 2 >= excess and delta_j / 2 >= Fraction(1, 1 << piece_w_exp):
             delta_j /= 2
-        if excess > Fraction(1, 1 << j):
-            raise EngineError(f"step {j}: K_{j+1} wanders {excess} > 2^-{j} from K_{j}")
-        # ---- invariant checks, all exact ----
-        # (a): K_{j+1} inside the closed delta_j-neighborhood of K_j, i.e. its
-        # excess over K_j is at most delta_j
-        check_a = excess <= delta_j
-        # (b) first part for j+1
-        check_b_vol = vol_next <= Fraction(1, 5 * (1 << (j + 1)))
-        # (b) second part for j (verified now that delta_j is fixed); the seed
-        # rectangle K_0 = R cannot satisfy it, so like the measure part it is
-        # a j >= 1 claim
-        prev_nbhd_vol = Fraction(_neighborhood_measure(*k_cur, 2 * delta_j * D), D)
-        check_b_nbhd = prev_nbhd_vol <= Fraction(1, 1 << j) if j >= 1 else True
-        # halving bookkeeping: the proof's mechanism, reported but not
-        # required (the construction meets the (b) volume bound directly;
-        # see the step-budget note in the module docstring)
+        vol_next, prev_nbhd_vol, ok = _step_checks(k_cur, k_next, delta_j, j + 1, D, targets)
+        # halving is the proof's mechanism, reported but not required (see
+        # the step-budget note in the module docstring)
         vol_prev = Fraction(int((k_cur[1] - k_cur[0]).sum()), D)
-        halving_observed = vol_next <= vol_prev / 2
-        # (c): every map covers f(a0) + R, the full target, from the full
-        # point set
-        check_c = all(
-            first_gap(*_covered_union(img, *k_next), int(img[0]) + r_lo_i, int(img[0]) + r_hi_i)
-            is None
-            for img in images
-        )
         checks = {
-            "check_a_nested": bool(check_a),
-            "check_b_volume": bool(check_b_vol),
-            "check_b_neighborhood": bool(check_b_nbhd),
-            "check_c_coverage": bool(check_c),
-            "halving_observed": bool(halving_observed),
+            "check_a_nested": ok["nested_ok"],
+            "check_b_volume": ok["volume_ok"],
+            "check_b_neighborhood": ok["neighborhood_ok"],
+            "check_c_coverage": ok["coverage_ok"],
+            "halving_observed": bool(vol_next <= vol_prev / 2),
             "volume_prev": str(vol_prev),
             "neighborhood_volume_prev": str(prev_nbhd_vol),
             "threshold_reports": [threshold_report],
         }
-        if not (check_a and check_b_vol and check_b_nbhd and check_c):
+        if not all(ok.values()):
             raise EngineError(f"invariant failure at step {j}: {checks}")
-        trace.steps.append(
-            RRPStep(
-                j=j + 1,
-                g=piece_w_schedule[j],
-                delta=delta_j,
-                piece_w_exp=piece_w_schedule[j],
-                k_intervals=[(Fraction(lo, D), Fraction(hi, D))
-                             for lo, hi in zip(k_next[0].tolist(), k_next[1].tolist())],
-                volume=vol_next,
-                checks=checks,
-            )
-        )
+        trace.steps.append(RRPStep(
+            j=j + 1, g=piece_w_schedule[j], delta=delta_j, piece_w_exp=piece_w_schedule[j],
+            k_intervals=[(Fraction(lo, D), Fraction(hi, D)) for lo, hi in zip(*(e.tolist() for e in k_next))],
+            volume=vol_next, checks=checks,
+        ))
         k_cur = k_next
     # Delta_j <= 2 delta_j on the realized schedule
     deltas = [s.delta for s in trace.steps]
@@ -465,14 +470,16 @@ def verify_rrp_trace(data: dict) -> dict:
     """Re-validate a serialized rrp trace from the stored sets alone.
 
     Every inequality is recomputed on the integer frame of the stored
-    denominator D: per step record j, the volume (stored value and bound
-    1/(5 2^j)), delta_j <= 2^-(j-1), the nesting of K_j in the
-    delta-neighborhood of K_{j-1}, for j >= 2 the neighborhood bound
+    denominator D: per step record j, by `_step_checks`, the volume (stored
+    value and bound 1/(5 2^j)), delta_j <= 2^-(j-1), the nesting of K_j in
+    the delta-neighborhood of K_{j-1}, for j >= 2 the neighborhood bound
     |K_{j-1}^(2 delta)| <= 2^-(j-1), and coverage of f(a0) + R, which must
-    hold [0, 1], for every map; over all records the Delta-tail.  A field
-    of the wrong type, a rational that does not parse, a point, image or
-    endpoint off the 1/D frame, or a step count other than the stored depth
-    (at least 1), raises EngineError.
+    hold [0, 1] for every map; over all records the Delta-tail.  Coverage
+    runs once per map scale: another map of a scale shifts the points and
+    the target alike by (o_i - o_0) D, an integer checked per map, and a
+    shift keeps every gap.  A field of the wrong type, a rational that does
+    not parse, a point, image or endpoint off the 1/D frame, or a step count
+    other than the stored depth (at least 1), raises EngineError.
     """
     meta = _field(data, "meta", dict)
     depth = _field(meta, "depth", int)
@@ -480,14 +487,13 @@ def verify_rrp_trace(data: dict) -> dict:
     if depth < 1 or len(records) != depth:
         raise EngineError(f"trace of depth {depth} holds {len(records)} step records")
     family = FunctionFamily.from_json_dict(_field(meta, "family", dict))
-    D = _field(meta, "frame_denominator", int)
-    if D < 1:
-        raise EngineError(f"frame denominator {D} is not positive")
+    D = json_int(meta, "frame_denominator", 1, math.inf, EngineError)
     r_lo, r_hi = _to_frame(_rationals(meta.get("R"), "R endpoint", 2), D, "R endpoint").tolist()
     images = _frame_images(_to_frame(_rationals(meta.get("points"), "point"), D, "point"), family, D)
     a0 = _rational(meta.get("a0"), "a0")
     fa0 = _to_frame([f(a0) for f in family.maps], D, "image of a0").tolist()
     target_ok = all(fa + r_lo <= 0 and fa + r_hi >= D for fa in fa0)
+    targets = [(images[i], fa0[i] + r_lo, fa0[i] + r_hi) for i in _one_map_per_scale(family)]
     prev = (np.array([r_lo], dtype=np.int64), np.array([r_hi], dtype=np.int64))
     steps, deltas = [], []
     for n, step in enumerate(records, start=1):
@@ -495,23 +501,15 @@ def verify_rrp_trace(data: dict) -> dict:
         if j != n:
             raise EngineError(f"step record {n} is numbered {j}")
         delta = _rational(step.get("delta"), "delta")
+        volume = _rational(step.get("volume"), "volume")
         ivs = _field(step, "k_intervals", list)
         ends = _to_frame([x for iv in ivs for x in _rationals(iv, "K endpoint", 2)], D, "K endpoint")
         cur = merge_int(ends[0::2], ends[1::2])
         if cur[0].size == 0:
             raise EngineError(f"K_{j} is empty")
-        vol = Fraction(int((cur[1] - cur[0]).sum()), D)
-        ok_vol = vol == _rational(step.get("volume"), "volume") and vol <= Fraction(1, 5 * (1 << j))
-        ok_delta = 0 <= delta <= Fraction(1, 1 << (j - 1))
-        ok_a = Fraction(_directed_hausdorff_intervals(cur, prev), 2 * D) <= delta
-        nbhd = Fraction(_neighborhood_measure(*prev, 2 * delta * D), D)
-        ok_b = j < 2 or nbhd <= Fraction(1, 1 << (j - 1))
-        ok_c = all(
-            first_gap(*_covered_union(img, *cur), fa + r_lo, fa + r_hi) is None
-            for img, fa in zip(images, fa0)
-        )
-        steps.append({"j": j, "volume_ok": ok_vol, "delta_ok": ok_delta, "nested_ok": ok_a,
-                      "neighborhood_ok": ok_b, "coverage_ok": ok_c})
+        vol, _, ok = _step_checks(prev, cur, delta, j, D, targets)
+        ok["volume_ok"] = ok["volume_ok"] and vol == volume
+        steps.append({"j": j, **ok})
         deltas.append(delta)
         prev = cur
     tail_ok = _delta_tail_ok(deltas)
@@ -567,9 +565,7 @@ class GridSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GridSet":
-        s = _field(data, "spacing_exponent", int)
-        if not 0 <= s <= MAX_SPACING_EXPONENT:
-            raise EngineError(f"grid spacing exponent {s} is outside [0, {MAX_SPACING_EXPONENT}]")
+        s = json_int(data, "spacing_exponent", 0, MAX_SPACING_EXPONENT, EngineError)
         return cls(s, [_rationals(iv, "region endpoint", 2) for iv in _field(data, "region", list)])
 
 

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from nullcover.elementary import cell_keys, frac, key_cells, unique_cells
+from nullcover.elementary import cell_keys, frac, json_int, key_cells, unique_cells
 
 
 class FractalError(ValueError):
@@ -83,7 +83,27 @@ class DyadicCubeSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DyadicCubeSet":
-        return cls(d=int(data["d"]), k=int(data["k"]), cells=data["cells"], generator=data.get("generator"))
+        """A set read from JSON: d in [1, 62] and k >= 0 as JSON integers, int64
+        cells, and a generator that is absent or an object whose sparse
+        schedule, the one part the estimators read, is a list of [count, level]
+        integer pairs with levels increasing from 1; FractalError otherwise,
+        as for d * k > 62."""
+        d, k = json_int(data, "d", 1, 62, FractalError), json_int(data, "k", 0, math.inf, FractalError)
+        cells = np.asarray(data.get("cells"))
+        if cells.size and cells.dtype.kind != "i":  # an int beyond int64 makes it an object array
+            raise FractalError("cells must be int64 integers")
+        gen = data.get("generator")
+        if gen is not None and not isinstance(gen, dict):
+            raise FractalError("generator must be an object")
+        if gen and gen.get("kind") == "sparse":
+            sched = gen.get("schedule")
+            if not (isinstance(sched, list) and all(
+                    isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in sched)):
+                raise FractalError("a sparse schedule is a list of [count, level] integer pairs")
+            levels = [0] + [g for _, g in sched]
+            if any(b <= a for a, b in zip(levels, levels[1:])):
+                raise FractalError("schedule resolutions must increase from 1")
+        return cls(d=d, k=k, cells=cells, generator=gen)
 
 
 @dataclass(frozen=True)
@@ -513,6 +533,8 @@ def log_dimension_estimate(A: DyadicCubeSet, variant: str = "H") -> dict:
     """
     if variant not in ("H", "P"):
         raise FractalError("variant must be 'H' or 'P'")
+    if A.size == 0:
+        raise FractalError("the empty set has no dimension estimate")
     scales = []
     if A.generator and A.generator.get("kind") == "sparse":
         for n, g in A.generator["schedule"]:

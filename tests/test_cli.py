@@ -341,6 +341,17 @@ def test_rrp_single_tamper_fails_verify(capsys, tmp_path, rrp_trace_data, mutate
     assert message.get(mutate, "") in err
 
 
+def test_rrp_map_scale_changed_fails_verify(capsys, tmp_path, rrp_trace_data):
+    # map 3 alone takes scale 5/8: a scale class of its own, whose (c) fails
+    data = copy.deepcopy(rrp_trace_data)
+    data["meta"]["family"]["maps"][3][0] = "5/8"
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert [s["coverage_ok"] for s in json.loads(out)["steps"]] == [False, False]
+
+
 # every rrp trace field verify reads ("*" is any list entry), and the values
 # a mutated one takes: wrong types, rationals that do not parse or have a zero
 # denominator, ints far out of range, and lists of the wrong length
@@ -432,3 +443,40 @@ def test_full_measure_trace_mutations_never_escape_main(capsys, tmp_path, full_m
             codes.append(main(["verify", str(path)]))
             capsys.readouterr()
     assert set(codes) <= {0, 1} and codes.count(1) > 0.9 * len(codes)
+
+
+# the fields `cover --family` and `dimension --set` read from their input file
+INPUTS = {
+    "grid": (["cover", "--eps", "1/2", "--seed", "1", "--family"],
+             {"d": 1, "kind": "grid", "N": 64, "members": [[[x] for x in range(0, 60, 3)]]},
+             ["d", "kind", "N", "members", "members.*", "members.*.*", "members.*.*.*"]),
+    "cube": (["cover", "--eps", "9/10", "--g", "8", "--seed", "1", "--family"],
+             {"d": 1, "kind": "cube", "point_exponent": 9,
+              "members": [[[x] for x in range(512) if x % 7], [[x] for x in range(512) if x % 5]]},
+             ["d", "kind", "point_exponent", "members", "members.*", "members.*.*", "members.*.*.*"]),
+    "set": (["dimension", "--set"],
+            {"d": 1, "k": 16, "cells": [[x << 12] for x in range(16)],
+             "generator": {"kind": "sparse", "schedule": [[2, 2], [4, 4], [8, 8], [16, 16]], "d": 1}},
+            ["d", "k", "cells", "cells.*", "cells.*.*", "generator", "generator.kind",
+             "generator.schedule", "generator.schedule.*", "generator.schedule.*.*"]),
+}
+
+
+@pytest.mark.parametrize("kind", list(INPUTS))
+def test_input_file_mutations_never_escape_main(capsys, tmp_path, kind):
+    # a family or set file holding junk in one field exits 1 or 2, never
+    # with a traceback, and the unmutated file exits 0
+    argv, data, fields = INPUTS[kind]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([*argv, str(path)]) == 0
+    rng = random.Random(kind)
+    codes = []
+    for field in fields:
+        for junk in JUNK:
+            mutated = copy.deepcopy(data)
+            _mutate_field(mutated, field, junk, rng)
+            path.write_text(json.dumps(mutated))
+            codes.append(main([*argv, str(path)]))
+            capsys.readouterr()
+    assert set(codes) <= {0, 1, 2} and codes.count(2) > len(codes) // 2

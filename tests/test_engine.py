@@ -1,5 +1,6 @@
 """Construction engine: families, full runs, cascade, traces."""
 
+import copy
 import hashlib
 import json
 import time
@@ -10,7 +11,7 @@ import pytest
 
 from nullcover.bias_sets import ParameterError
 from nullcover.cli import main
-from nullcover.elementary import merge_intervals
+from nullcover.elementary import first_gap, merge_intervals, points_plus
 from nullcover.engine import (
     AffineMap,
     ConstructionTrace,
@@ -214,6 +215,74 @@ class TestRRPRun:
             lo_t = int(np.ceil(float((f(pts[0]) + Fraction(trace.meta["R"][0])) * grid)))
             hi_t = int(np.floor(float((f(pts[0]) + Fraction(trace.meta["R"][1])) * grid)))
             assert mask[max(lo_t, 0) : min(hi_t, grid) + 1].all()
+
+
+class TestMixedScales:
+    """Families whose maps do not all share one scale: the build and verify
+    keep one map per scale, and stand for the others by translation."""
+
+    FAMILIES = {
+        "1/2,3/4": ([("1/2", "0"), ("3/4", "0")],
+                    "3192a9f4fca35ac24a5f08037af4a41fbbf20b7aeb0e0d9a1fa75790bdce1988"),
+        "1/2,5/8": ([("1/2", "0"), ("5/8", "0")],
+                    "67c166e9c5966cca949395697698fb5abbf35b1c9a812ad8ad7e176154bdad51"),
+        "1/2,-1/2": ([("1/2", "0"), ("-1/2", "0")],
+                     "8439e1dabddfe3ccc0c1dc57fdc31950c50a845290c7f0a51186b6cb721f1dc5"),
+        "1/2,1": ([("1/2", "0"), ("1", "0")],
+                  "eaf2bd9d18832c15e7513e66712a9d55f69de58fe808e98d542a6cebe6c34a2f"),
+        # several offsets per scale, the scales interleaved in family order
+        "interleaved": ([("1/2", "0"), ("3/4", "0"), ("1/2", "1/64"), ("3/4", "-1/32"), ("1/2", "3/128")],
+                        "857fbbcfed3746d367f1d80cd7d74ef240f71f44ab473fcb229ad77705a780a2"),
+        "interleaved-3/4-first": ([("3/4", "1/1024"), ("1/2", "0"), ("3/4", "0"), ("1/2", "5/4096")],
+                                  "47d97a866b485f524492113d0a76512b5f5eee55077a15593bd35486b5f459bb"),
+    }
+
+    @staticmethod
+    def trace(maps):
+        fam = FunctionFamily(maps=[AffineMap(Fraction(a), Fraction(b)) for a, b in maps],
+                             bilipschitz_c=Fraction(2))
+        return rrp_run(middle_thirds_points(6, grid_exp=12), fam, depth=1,
+                       rho_schedule=[Fraction(1)], piece_w_schedule=[12])
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_hash_pinned(self, name):
+        # recorded when every map had its own obligations and (c) test
+        maps, expected = self.FAMILIES[name]
+        trace = self.trace(maps)
+        assert trace.content_hash() == expected
+        assert verify_rrp_trace(json.loads(json.dumps(trace.to_json_dict())))["passed"]
+
+    @staticmethod
+    def per_map_coverage(data):
+        """(c) for each map on its own: f(a0) + R inside f(A') + K_1, the
+        images taken in Fraction arithmetic."""
+        meta = data["meta"]
+        D = meta["frame_denominator"]
+        points = [Fraction(p) for p in meta["points"]]
+        a0, (r_lo, r_hi) = Fraction(meta["a0"]), map(Fraction, meta["R"])
+        k = np.array([[int(Fraction(x) * D) for x in iv] for iv in data["steps"][0]["k_intervals"]])
+        out = []
+        for scale, offset in meta["family"]["maps"]:
+            f = AffineMap(Fraction(scale), Fraction(offset))
+            union = points_plus([int(f(p) * D) for p in points], k[:, 0], k[:, 1])
+            out.append(first_gap(*union, int((f(a0) + r_lo) * D), int((f(a0) + r_hi) * D)) is None)
+        return out
+
+    @pytest.mark.parametrize("name", ["1/2,3/4", "1/2,-1/2", "interleaved", "interleaved-3/4-first"])
+    def test_coverage_matches_per_map_check(self, name):
+        data = json.loads(json.dumps(self.trace(self.FAMILIES[name][0]).to_json_dict()))
+        ivs = data["steps"][0]["k_intervals"]
+        verdicts = []
+        for cut in [None, 0, 1, len(ivs) // 3, len(ivs) // 2, -2, -1]:  # K_1, or K_1 less one interval
+            t = copy.deepcopy(data)
+            if cut is not None:
+                del t["steps"][0]["k_intervals"][cut]
+            per_map = self.per_map_coverage(t)
+            coverage_ok = verify_rrp_trace(t)["steps"][0]["coverage_ok"]
+            assert coverage_ok == all(per_map), (cut, per_map)
+            verdicts.append(tuple(per_map))
+        assert all(verdicts[0])
+        assert any(len(set(v)) == 2 for v in verdicts)  # some map covers, another does not
 
 
 class TestFullMeasure:
