@@ -259,25 +259,29 @@ def _erode_mask(mask: np.ndarray) -> np.ndarray:
 
 
 def pixel_cover_mask(
-    member_hcells: np.ndarray,
+    member_hcells: Sequence[np.ndarray],
     b_hcells: np.ndarray,
     d: int,
     window_lo,
     window_hi,
 ) -> np.ndarray:
-    """Mask over [window_lo, window_hi) of h-pixels robustly covered by A + B.
+    """Masks over [window_lo, window_hi) of h-pixels robustly covered by A + B,
+    one per member A, stacked on a leading axis.
 
-    member_hcells are the pixels met by A; b_hcells the (possibly signed)
-    h-cells of the elementary set.  Pixel p is covered when some member pixel
-    j satisfies p = j + t + 1 - 1 with t and t + 1 (per axis) both in B; then
-    every real witness inside pixel j covers all of pixel p.
+    member_hcells holds each member's pixels, an (n, d) array per member; B is
+    eroded, folded and transformed once for all of them.  b_hcells are the
+    (possibly signed) h-cells of the elementary set.  Pixel p is covered when
+    some member pixel j satisfies p = j + t + 1 - 1 with t and t + 1 (per
+    axis) both in B; then every real witness inside pixel j covers all of
+    pixel p.
     """
-    member_hcells = np.asarray(member_hcells, dtype=np.int64).reshape(-1, d)
+    members = [np.asarray(m, dtype=np.int64).reshape(-1, d) for m in member_hcells]
     b_hcells = np.asarray(b_hcells, dtype=np.int64).reshape(-1, d)
     window_lo = np.asarray(window_lo, dtype=np.int64).reshape(d)
     window_hi = np.asarray(window_hi, dtype=np.int64).reshape(d)
-    out = np.zeros(tuple(window_hi - window_lo), dtype=bool)
-    if b_hcells.size == 0 or member_hcells.size == 0 or out.size == 0:
+    out = np.zeros((len(members),) + tuple(window_hi - window_lo), dtype=bool)
+    filled = [m for m in members if m.size]
+    if b_hcells.size == 0 or not filled or out.size == 0:
         return out
     # erode B on its own linear frame: a cyclic erosion would join its two ends
     b_lo = b_hcells.min(axis=0)
@@ -287,22 +291,23 @@ def pixel_cover_mask(
     t = np.argwhere(_erode_mask(b_mask)) + b_lo
     if t.size == 0:
         return out
-    # The sums s = j + t lie in [s_lo, s_hi] and pixel p reads s = p - 1, so
-    # the reads r lie in [window_lo - 1, window_hi - 2].  On a cyclic axis of
-    # length L > max(r_hi - s_lo, s_hi - r_lo), |s - r| < L for every sum
-    # and read, so s = r mod L only when s = r: no sum aliases into a read,
-    # and the smallest power of two above that bound is exact and fast.
-    s_lo = member_hcells.min(axis=0) + t.min(axis=0)
-    s_hi = member_hcells.max(axis=0) + t.max(axis=0)
+    # The sums s = j + t of every member lie in [s_lo, s_hi] and pixel p reads
+    # s = p - 1, so the reads r lie in [window_lo - 1, window_hi - 2].  On a
+    # cyclic axis of length L > max(r_hi - s_lo, s_hi - r_lo), |s - r| < L for
+    # every sum and read, so s = r mod L only when s = r: no sum aliases into a
+    # read, and the smallest power of two above that bound is exact and fast.
+    s_lo = np.min([m.min(axis=0) for m in filled], axis=0) + t.min(axis=0)
+    s_hi = np.max([m.max(axis=0) for m in filled], axis=0) + t.max(axis=0)
     reach = np.maximum(window_hi - 2 - s_lo, s_hi - window_lo + 1)
     L = tuple(1 << int(x).bit_length() for x in reach)
-    a_mask = np.zeros(L, dtype=bool)
-    a_mask[tuple((member_hcells % L).T)] = True
+    a_masks = np.zeros((len(members),) + L, dtype=bool)
+    for a_mask, m in zip(a_masks, members):
+        a_mask[tuple((m % L).T)] = True
     t_mask = np.zeros(L, dtype=bool)
     t_mask[tuple((t % L).T)] = True
-    covered = sumset_counts(a_mask, t_mask) >= 1  # index s mod L, s = j + t
+    covered = sumset_counts(a_masks, t_mask) >= 1  # index s mod L, s = j + t
     reads = [(np.arange(lo, hi) - 1) % m for lo, hi, m in zip(window_lo.tolist(), window_hi.tolist(), L)]
-    return covered[np.ix_(*reads)]
+    return covered[(slice(None),) + np.ix_(*reads)]
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +315,18 @@ def pixel_cover_mask(
 
 
 def _dilate(mask: np.ndarray, radius: int) -> np.ndarray:
-    out = mask.copy()
+    """Cells within sup-distance `radius` of the mask, without wrapping: per
+    axis, a window sum of a prefix sum, so linear in the mask."""
+    out = mask
     for ax in range(mask.ndim):
-        acc = out.copy()
-        for r in range(1, radius + 1):
-            for sgn in (-1, 1):
-                sh = np.roll(out, sgn * r, axis=ax)
-                idx = [slice(None)] * mask.ndim
-                idx[ax] = slice(0, r) if sgn == 1 else slice(-r, None)
-                sh[tuple(idx)] = False
-                acc |= sh
-        out = acc
+        n = mask.shape[ax]
+        r = min(radius, n - 1)
+        c = np.moveaxis(np.cumsum(out, axis=ax, dtype=np.int32), ax, 0)  # c[i] = #set in [0, i]
+        window = np.empty_like(c)  # #set in [i - r, i + r], clipped to [0, n)
+        window[:n - r] = c[r:]
+        window[n - r:] = c[n - 1]
+        window[r + 1:] -= c[:n - r - 1]
+        out = np.moveaxis(window > 0, 0, ax)
     return out
 
 
@@ -418,9 +424,8 @@ def dyadic_cover_complement(
     h_b = _upscale_cells(cells, d, 2)
     window_lo = np.zeros(d, dtype=np.int64)
     window_hi = np.full(d, 1 << (g + 1), dtype=np.int64)
-    for i, pts in enumerate(family.members):
-        hcells = unique_cells(pts >> (pe - g - 1), g + 1)
-        cov = pixel_cover_mask(hcells, h_b, d, window_lo, window_hi)
+    hcells = [unique_cells(pts >> (pe - g - 1), g + 1) for pts in family.members]
+    for i, cov in enumerate(pixel_cover_mask(hcells, h_b, d, window_lo, window_hi)):
         if not cov.all():
             raise CoverError(
                 f"pixel coverage failed for member {i} (a bug): {int((~cov).sum())} pixels"

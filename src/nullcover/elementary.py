@@ -133,9 +133,14 @@ def key_cells(keys: np.ndarray, d: int, bits: int) -> np.ndarray:
 
 
 def unique_cells(cells: np.ndarray, bits: int, lo: int = 0) -> np.ndarray:
-    """`np.unique(cells, axis=0)` for (n, d) integer cells in [lo, lo + 2^bits)^d,
-    on packed keys."""
-    return key_cells(np.unique(cell_keys(cells - lo, bits)), cells.shape[1], bits) + lo
+    """The distinct rows of (n, d) integer cells in [lo, lo + 2^bits)^d, sorted
+    lexicographically, as `np.unique(cells, axis=0)` gives them: their packed
+    keys are sorted and each key unequal to its left neighbour is kept.  A sort
+    and a compare beat numpy's hash-based `np.unique`, and import no `numpy.ma`."""
+    keys = np.sort(cell_keys(cells - lo, bits))
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return key_cells(keys[first], cells.shape[1], bits) + lo
 
 
 class IntervalAccumulator:

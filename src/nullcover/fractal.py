@@ -3,8 +3,9 @@ largeness certificates, and a logarithmic-dimension estimator.
 
 A `DyadicCubeSet` is the level-k rasterization of a compact set in [0,1]^d:
 the integer cells of side 2^-k meeting it.  Generators (digit rules, sparse
-scale schedules) keep their exact rational boxes as metadata so covering
-numbers against non-dyadic grids (e.g. base-3) can be counted exactly.
+scale schedules) are kept as metadata; a digit rule's exact rational boxes
+come from its integer box numerators on demand, so covering numbers against
+non-dyadic grids (e.g. base-3) can be counted exactly.
 
 Grid conventions: covering numbers count aligned grid cells overlapping the
 set with positive measure (not mere boundary contact); this differs from the
@@ -24,8 +25,9 @@ construction or trace check imports this module.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -46,6 +48,10 @@ class DyadicCubeSet:
     k: int
     cells: np.ndarray  # (n, d) int64, deduplicated, lexicographically sorted
     generator: Optional[dict] = None
+    # a digit rule's boxes as (per-axis numerators n, scale): every combination of
+    # the sides [n, n + 1] / scale, the first axis outermost.  `generate_cantor`
+    # sets it; `exact_boxes` and `to_json_dict` derive the boxes from it on demand.
+    digit_axes: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d * self.k > 62:  # a cell is one int64 key of d * k bits
@@ -68,6 +74,10 @@ class DyadicCubeSet:
         return unique_cells(self.cells >> (self.k - j), j)
 
     def exact_boxes(self) -> Optional[list]:
+        if self.digit_axes is not None:
+            axes, scale = self.digit_axes
+            sides = ([(Fraction(n, scale), Fraction(n + 1, scale)) for n in starts] for starts in axes)
+            return list(itertools.product(*sides))
         if self.generator and "boxes" in self.generator:
             return [
                 tuple((Fraction(lo), Fraction(hi)) for lo, hi in box)
@@ -79,6 +89,9 @@ class DyadicCubeSet:
         out = {"d": self.d, "k": self.k, "cells": self.cells.tolist()}
         if self.generator is not None:
             out["generator"] = self.generator
+        if self.digit_axes is not None:
+            boxes = [[[str(lo), str(hi)] for lo, hi in box] for box in self.exact_boxes()]
+            out["generator"] = {**self.generator, "boxes": boxes}
         return out
 
     @classmethod
@@ -238,19 +251,9 @@ def generate_cantor(rule: dict, depth: int, max_cells: int = 1 << 22) -> DyadicC
             k = depth * (base.bit_length() - 1)
         else:
             k = max(1, (scale - 1).bit_length())  # the least k >= 1 with 2^-k <= base^-depth
-        boxes = [[]]
-        for starts in axes:
-            sides = [(str(Fraction(n, scale)), str(Fraction(n + 1, scale))) for n in starts]
-            boxes = [box + [[lo, hi]] for box in boxes for lo, hi in sides]
-        gen = {
-            "kind": "digits",
-            "base": base,
-            "digits": [list(ds) for ds in digits],
-            "depth": depth,
-            "boxes": boxes,
-        }
+        gen = {"kind": "digits", "base": base, "digits": [list(ds) for ds in digits], "depth": depth}
         cells = _rasterize_boxes(axes, scale, k)
-        return DyadicCubeSet(d=d, k=k, cells=cells, generator=gen)
+        return DyadicCubeSet(d=d, k=k, cells=cells, generator=gen, digit_axes=(axes, scale))
     if rule.get("kind") == "sparse":
         sched = rule["schedule"][:depth]
         d = int(rule.get("d", 1))
@@ -477,7 +480,7 @@ def uniform_large_subset(
         keep &= costs[cube] > 2.0 ** (-3 * lvl * d) * eta
         if not keep.any():
             raise FractalError(f"all level-{lvl} cubes pruned (content below eta_{lvl})")
-    pruned = DyadicCubeSet(d=d, k=k, cells=A.cells[keep], generator=A.generator)
+    pruned = DyadicCubeSet(d=d, k=k, cells=A.cells[keep], generator=A.generator, digit_axes=A.digit_axes)
     # certificates
     n_values = []
     per_cube = {}

@@ -12,8 +12,11 @@ shift/XOR steps, then reduction of the 2n-1-bit product by the modulus from
 the top bit down), exact integer XOR throughout; n <= 32 keeps the product
 inside 64 bits.  The (N, n) coefficient-array routines (`bulk_mul`,
 `bulk_pow`) serve odd p, and are the tests' reference for the packed kernel.
-`kth_power_codes` builds power sets without discrete logs: plain
-exponentiation of every element.  `coordinate_subset` owns the one map from
+`kth_power_codes` builds power sets without discrete logs, by exponentiating
+every element.  For p = 2 that is `packed_pow`: x^k is the product of the
+x^(2^j) over the set bits j of k, and each x^(2^j), a GF(2)-linear map, is
+one 256-entry table lookup per code byte, so only popcount(k) - 1 general
+products remain.  `coordinate_subset` owns the one map from
 field codes to the group indices of (Z_p)^n that the bias and sumset kernels
 work on.
 """
@@ -296,16 +299,30 @@ def packed_mul(spec: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def packed_pow(spec: FieldSpec, a: np.ndarray, e: int) -> np.ndarray:
-    """Elementwise e-th powers of a uint64 code array, by square-and-multiply."""
-    base = np.asarray(a, dtype=np.uint64)
-    result = np.ones(base.shape, dtype=np.uint64)
-    while e:
-        if e & 1:
-            result = packed_mul(spec, result, base)
-        e >>= 1
-        if e:
-            base = packed_mul(spec, base, base)
-    return result
+    """Elementwise e-th powers of a uint64 code array, as the product over the
+    set bits j of e of a^(2^j).  Squaring is GF(2)-linear, so a^(2^j) is the XOR
+    over the code's bytes of one 256-entry table each, the table of byte b
+    holding (v x^(8 b))^(2^j) for every byte value v (masked to n bits where no
+    code reaches, so every entry is a field element); only popcount(e) - 1
+    general products remain."""
+    a = np.asarray(a, dtype=np.uint64)
+    shifts = 8 * np.arange(-(-spec.n // 8), dtype=np.uint64)
+    tables = (np.arange(256, dtype=np.uint64) << shifts[:, None]) & np.uint64((1 << spec.n) - 1)
+    result, byte = None, np.empty_like(a)
+    for j in range(e.bit_length()):
+        if j:
+            tables = packed_mul(spec, tables, tables)
+        if not (e >> j) & 1:
+            continue
+        power = a
+        if j:
+            power = np.zeros_like(a)
+            for shift, table in zip(shifts.tolist(), tables):
+                np.right_shift(a, shift, out=byte)
+                byte &= 0xFF
+                power ^= table[byte]
+        result = power if result is None else packed_mul(spec, result, power)
+    return np.ones_like(a) if result is None else result
 
 
 def kth_power_codes(spec: FieldSpec, k: int, include_zero: bool = False) -> np.ndarray:

@@ -30,6 +30,15 @@ from nullcover.elementary import (
     merge_intervals,
     points_plus,
 )
+from nullcover.bias_sets import build_bias_complement, select_parameters
+from nullcover.fractal import (
+    DyadicCubeSet,
+    GaugeFunction,
+    generate_cantor,
+    log_dimension_estimate,
+    uniform_large_subset,
+)
+from nullcover.gf import kth_power_codes, make_field
 from nullcover.groups import GroupSubset, sumset, sumset_counts
 
 
@@ -237,12 +246,12 @@ class TestLift:
 class TestPixelCoverMask:
     def test_single_point_single_cell(self):
         # member pixel j=0; B h-cells {0,1} (one delta cell): robust covers p=1 only
-        cov = pixel_cover_mask(np.array([[0]]), np.array([[0], [1]]), 1, [0], [4])
+        cov = pixel_cover_mask([np.array([[0]])], np.array([[0], [1]]), 1, [0], [4])[0]
         assert cov.tolist() == [False, True, False, False]
 
     def test_run_of_cells(self):
         # B h-cells 0..3: eroded {0,1,2}: member {0}: covered p in {1,2,3}
-        cov = pixel_cover_mask(np.array([[0]]), np.array([[0], [1], [2], [3]]), 1, [0], [5])
+        cov = pixel_cover_mask([np.array([[0]])], np.array([[0], [1], [2], [3]]), 1, [0], [5])[0]
         assert cov.tolist() == [False, True, True, True, False]
 
     def test_oracle_random_1d(self):
@@ -250,7 +259,7 @@ class TestPixelCoverMask:
         for _ in range(30):
             a_cells = np.unique(rng.integers(0, 12, 5)).reshape(-1, 1)
             b_cells = np.unique(rng.integers(-6, 10, 8)).reshape(-1, 1)
-            cov = pixel_cover_mask(a_cells, b_cells, 1, [0], [16])
+            cov = pixel_cover_mask([a_cells], b_cells, 1, [0], [16])[0]
             bset = set(b_cells.reshape(-1).tolist())
             for p in range(16):
                 expect = any(
@@ -262,7 +271,7 @@ class TestPixelCoverMask:
         rng = np.random.default_rng(9)
         a_cells = np.unique(rng.integers(0, 6, (12, 2)), axis=0)
         b_cells = np.unique(rng.integers(-4, 6, (30, 2)), axis=0)
-        cov = pixel_cover_mask(a_cells, b_cells, 2, [0, 0], [10, 10])
+        cov = pixel_cover_mask([a_cells], b_cells, 2, [0, 0], [10, 10])[0]
         bset = set(map(tuple, b_cells.tolist()))
         for p1 in range(10):
             for p2 in range(10):
@@ -276,6 +285,24 @@ class TestPixelCoverMask:
                         expect = True
                         break
                 assert cov[p1, p2] == expect
+
+    def test_stacked_members_equal_single_calls(self):
+        # the members share one eroded, transformed B; an empty member gives
+        # an empty row, and each row equals the call on that member alone
+        rng = np.random.default_rng(32)
+        for case in range(40):
+            d = 1 + case % 2
+            W = 1 << int(rng.integers(2, 6 - d))
+            members = [np.argwhere(rng.random((W,) * d) < rng.uniform(0.05, 0.6)) for _ in range(1 + case % 4)]
+            if case % 5 == 0:
+                members.append(np.zeros((0, d), dtype=np.int64))
+            b = np.argwhere(rng.random((2 * W,) * d) < rng.uniform(0.3, 0.95)) - W
+            lo, hi = np.zeros(d, dtype=np.int64), np.full(d, W)
+            got = pixel_cover_mask(members, b, d, lo, hi)
+            assert got.shape == (len(members),) + (W,) * d
+            for m, row in zip(members, got):
+                assert np.array_equal(row, pixel_cover_mask([m], b, d, lo, hi)[0]), case
+                assert np.array_equal(row, padded_pixel_cover_mask(m, b, d, lo, hi)), case
 
     def test_padded_oracle_random(self):
         # the cyclic power-of-two grid against the zero-padded linear frame: d = 1
@@ -294,7 +321,7 @@ class TestPixelCoverMask:
                 lo, hi = np.zeros(d, dtype=np.int64), np.full(d, W)
             if case % 10 == 9:
                 hi[-1] = lo[-1]
-            got = pixel_cover_mask(a, b, d, lo, hi)
+            got = pixel_cover_mask([a], b, d, lo, hi)[0]
             want = padded_pixel_cover_mask(a, b, d, lo, hi)
             assert got.shape == want.shape and np.array_equal(got, want), case
 
@@ -398,7 +425,7 @@ class TestDyadicCover:
 
         hb = _upscale_cells(res.cells, 1, 2)
         hc = np.unique(bigger >> 0, axis=0)
-        cov = pixel_cover_mask(hc, hb, 1, [0], [512])
+        cov = pixel_cover_mask([hc], hb, 1, [0], [512])[0]
         assert cov.all()
 
 
@@ -446,7 +473,90 @@ class TestPinnedOutputs:
         assert _digest({"cells": res.cells.tolist(), "certificate": res.certificate}) == digest
 
 
+class TestPinnedCertificates:
+    """sha256 of the other certify outputs, recorded before the packed sumset,
+    the sort-based cells, the lazy digit boxes and the Frobenius powers."""
+
+    @pytest.mark.parametrize("rule, depth, digest", [
+        ({"kind": "digits", "base": 3, "digits": [0, 2]}, 5, "3476c9b757650b42a457d38c2a40e91cbf8336f06794d21e0d68159581a939a5"),
+        ({"kind": "digits", "base": 5, "digits": [[1, 3], [0, 4]]}, 3, "0fc2d1afe6234cb6b34a1a7d749037dd13ceb8c161e2d0316d9aa0948f9c9e7b"),
+    ], ids=["d1", "d2"])
+    def test_generate_cantor_json(self, rule, depth, digest):
+        assert _digest(generate_cantor(rule, depth).to_json_dict()) == digest
+
+    def test_uniform_large_subset(self):
+        A = generate_cantor({"kind": "digits", "base": 3, "digits": [0, 2]}, depth=8)
+        pruned, n_values, cert = uniform_large_subset(
+            A, GaugeFunction.power(0.7), 0.3, [Fraction(1, 1 << g) for g in (1, 7, 13)])
+        out = {"pruned": pruned.to_json_dict(), "n_values": n_values, "certificate": cert.to_json_dict()}
+        assert _digest(out) == "c6fa10536f7267122ad09480179838a2cbd0a83b253002d4235e5452f61d2064"
+
+    def test_log_dimension_estimate(self):
+        A = generate_cantor({"kind": "digits", "base": 5, "digits": [0, 2, 4]}, depth=5)
+        assert _digest(log_dimension_estimate(A)) == "f510639883cd961ea14e39eab42142cf0f4f092c6513e5ce8e70a86faa753f5e"
+
+    @pytest.mark.parametrize("t, k, digest", [
+        (16, 17, "44758809d2f95f7048024e997fc93fb6a18d820259df382190eaa7426e581d69"),
+        (12, 13, "6812c3be031f79de42cecf7a9d9e4aadafbeff05165192e8f363af9d425400c6"),
+        (16, 3, "cbc08894a71b2135d7b5cdc08ab6378321ff1ee2807e4ae50c23d132dc602cba"),
+    ])
+    def test_kth_power_codes(self, t, k, digest):
+        assert _digest({"codes": kth_power_codes(make_field(2, t), k).tolist()}) == digest
+
+    def test_bias_set_certificate(self):
+        comp = build_bias_complement(select_parameters(Fraction(1, 3), 256, 2))
+        assert _digest({"certificate": comp.certificate(), "codes": comp.codes.tolist()}) == "022d87bfca8b037ed5819ee8ead0225a5c0f05d47ba31931878fcd50a315db82"
+
+    def test_set_file_without_boxes_round_trips(self):
+        # a digits generator read from a file without "boxes" gains none
+        data = generate_cantor({"kind": "digits", "base": 3, "digits": [0, 2]}, depth=3).to_json_dict()
+        del data["generator"]["boxes"]
+        text = json.dumps(data, indent=2, sort_keys=True)
+        A = DyadicCubeSet.from_json_dict(json.loads(text))
+        assert A.exact_boxes() is None
+        assert json.dumps(A.to_json_dict(), indent=2, sort_keys=True) == text
+
+
+def roll_dilate(mask, radius):
+    """The dilation by 2 radius shifted copies per axis, the zeroed wrap of
+    each `np.roll` standing for the border: the oracle of `covering._dilate`."""
+    out = mask.copy()
+    for ax in range(mask.ndim):
+        acc = out.copy()
+        for r in range(1, radius + 1):
+            for sgn in (-1, 1):
+                sh = np.roll(out, sgn * r, axis=ax)
+                idx = [slice(None)] * mask.ndim
+                idx[ax] = slice(0, r) if sgn == 1 else slice(-r, None)
+                sh[tuple(idx)] = False
+                acc |= sh
+        out = acc
+    return out
+
+
 class TestFamilyHausdorffCount:
+    def test_dilate_equals_roll_oracle(self):
+        from nullcover.covering import _dilate
+
+        rng = np.random.default_rng(41)
+        for case in range(120):
+            d = 1 + case % 3
+            shape = tuple(int(x) for x in rng.integers(1, 12 if d < 3 else 6, d))
+            mask = rng.random(shape) < rng.uniform(0.0, 0.3)
+            radius = int(rng.integers(0, max(shape) + 3))
+            got = _dilate(mask, radius)
+            assert got.dtype == bool and np.array_equal(got, roll_dilate(mask, radius)), case
+
+    def test_count_equals_roll_oracle(self, monkeypatch):
+        from nullcover import covering
+
+        rng = np.random.default_rng(42)
+        families = [_cube_family(int(rng.integers(1 << 20)), d, pe, density, 4)
+                    for d, pe, density in [(1, 9, 0.02), (1, 8, 0.3), (2, 5, 0.05), (2, 6, 0.2)]]
+        got = [family_hausdorff_cover_count(f, g) for f in families for g in (2, 4)]
+        monkeypatch.setattr(covering, "_dilate", roll_dilate)
+        assert got == [family_hausdorff_cover_count(f, g) for f in families for g in (2, 4)]
+
     def test_identical_members_count_one(self):
         pts = np.arange(0, 512, 2).reshape(-1, 1)
         fam = SetFamily(d=1, kind="cube", point_exponent=9, members=[pts, pts.copy(), pts.copy()])

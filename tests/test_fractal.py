@@ -358,7 +358,7 @@ class TestExactOracles:
     def test_generator_boxes_equal_fraction_chain(self, base, digits, depth):
         A = generate_cantor({"kind": "digits", "base": base, "digits": digits}, depth=depth)
         boxes = fraction_chain_boxes(base, digits, depth)
-        assert A.generator["boxes"] == [[[str(lo), str(hi)] for lo, hi in box] for box in boxes]
+        assert A.to_json_dict()["generator"]["boxes"] == [[[str(lo), str(hi)] for lo, hi in box] for box in boxes]
         assert A.exact_boxes() == boxes
         assert np.array_equal(A.cells, fraction_raster(boxes, len(digits), A.k))
 

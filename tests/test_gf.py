@@ -1,8 +1,11 @@
 """Finite field tests: irreducibility oracles, axioms, power sets, bias."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from nullcover.bias_sets import ParameterError, select_parameters
 from nullcover.gf import (
     FieldError,
     FieldSpec,
@@ -227,6 +230,20 @@ def oracle_kth_power_codes(spec, k):
     return np.unique(coords_to_codes(spec, bulk_pow(spec, all_coords(spec)[1:], k)))
 
 
+def square_multiply_pow(spec, a, e):
+    """Elementwise e-th powers of uint64 codes by square-and-multiply on
+    `packed_mul`: the oracle of the Frobenius-table `packed_pow`."""
+    base = np.asarray(a, dtype=np.uint64)
+    result = np.ones(base.shape, dtype=np.uint64)
+    while e:
+        if e & 1:
+            result = packed_mul(spec, result, base)
+        e >>= 1
+        if e:
+            base = packed_mul(spec, base, base)
+    return result
+
+
 class TestPacked:
     """The packed uint64 GF(2^t) kernel against the coefficient-array oracle."""
 
@@ -264,6 +281,37 @@ class TestPacked:
         got = kth_power_codes(spec, k)
         assert got.dtype == np.int64
         assert np.array_equal(got, oracle_kth_power_codes(spec, k))
+
+    def test_frobenius_powers_equal_square_and_multiply(self):
+        # every exponent bit pattern up to 2^10, and 2^24 elements' worth of
+        # codes at the widest field, element for element
+        for t in (1, 3, 8, 9, 13):
+            spec = make_field(2, t)
+            a = np.arange(spec.q, dtype=np.uint64)
+            for e in list(range(0, 64)) + [255, 256, 1000, 1023, spec.q - 2]:
+                assert np.array_equal(packed_pow(spec, a, e), square_multiply_pow(spec, a, e)), (t, e)
+        top = make_field(2, 32, cap=1 << 32)
+        a = np.random.default_rng(32).integers(0, 1 << 32, 4096).astype(np.uint64)
+        for e in (3, 17, 257, 65537, (1 << 32) - 2):
+            assert np.array_equal(packed_pow(top, a, e), square_multiply_pow(top, a, e)), e
+
+    def test_kth_power_codes_every_selected_field(self):
+        # every (t, k) that select_parameters picks with t <= 16: equal codes
+        # to the square-and-multiply powers of every nonzero element
+        pairs = set()
+        for n in range(3, 40):
+            for d in range(1, 17):
+                for m0 in (1, 2, 5, 17, 100, 257, 1 << 12, 1 << 16):
+                    try:
+                        params = select_parameters(Fraction(1, n), m0, d, cap=1 << 16)
+                    except ParameterError:  # q above 2^16
+                        continue
+                    pairs.add((params.d * params.s * (params.k - 1), params.k))
+        assert (16, 17) in pairs and (16, 3) in pairs and (12, 13) in pairs
+        for t, k in sorted(pairs):
+            spec = make_field(2, t)
+            powers = square_multiply_pow(spec, np.arange(1, spec.q, dtype=np.uint64), k)
+            assert np.array_equal(kth_power_codes(spec, k), np.unique(powers.astype(np.int64))), (t, k)
 
     def test_rejects_wide_or_odd_fields(self):
         wide = make_field(2, 33, cap=1 << 33)

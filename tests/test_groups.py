@@ -260,6 +260,100 @@ class TestSumset:
             assert {g.element(i): int(c) for i, c in enumerate(counts.reshape(-1)) if c} == want
 
 
+def pair_counts(row: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """r(x) by enumerating every pair (s, t) of A x B, vectorised: the oracle
+    for the packed rows."""
+    shape = b.shape
+    sums = (np.argwhere(row)[:, None, :] + np.argwhere(b)[None, :, :]) % np.array(shape)
+    idx = np.ravel_multi_index(tuple(sums.reshape(-1, len(shape)).T), shape)
+    return np.bincount(idx, minlength=b.size).reshape(shape)
+
+
+def transform_pairs(monkeypatch) -> list:
+    """Counts the forward real transforms `sumset_counts` takes: one for B,
+    then one per pack of rows."""
+    calls, real = [], np.fft.rfftn
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfftn", counted)
+    return calls
+
+
+class TestPackedRows:
+    """Rows packed as base-2^w digits of one signal against per-row calls and
+    the pair enumeration."""
+
+    def check(self, a, b):
+        got = sumset_counts(a, b)
+        assert got.dtype == np.int64 and got.shape == a.shape
+        for row, counts in zip(a, got):
+            assert np.array_equal(counts, sumset_counts(row, b))
+            assert np.array_equal(counts, pair_counts(row, b))
+        return got
+
+    @pytest.mark.parametrize("moduli", [(97,), (256,), (12, 10), (16, 16)])
+    def test_random_batches(self, moduli):
+        rng = np.random.default_rng(sum(moduli))
+        for rows in range(1, 8):
+            a = rng.random((rows,) + moduli) < rng.uniform(0.02, 0.6, (rows,) + (1,) * len(moduli))
+            b = rng.random(moduli) < rng.uniform(0.05, 0.9)
+            self.check(a, b)
+
+    @pytest.mark.parametrize("moduli", [(61,), (9, 14)])
+    def test_counts_reach_the_digit_top(self, moduli):
+        # |B| = 7 and each row holds a translate of -B, so a count reaches
+        # 7 = 2^w - 1 in every digit of the pack; then |A| = 7 against a full B
+        rng = np.random.default_rng(7)
+        b = np.zeros(moduli, dtype=bool)
+        b_cells = np.unravel_index(rng.choice(b.size, 7, replace=False), moduli)
+        b[b_cells] = True
+        a = rng.random((7,) + moduli) < 0.2
+        for i, row in enumerate(a):
+            x = np.unravel_index(int(rng.integers(b.size)), moduli)
+            row[tuple((xi - c) % m for xi, c, m in zip(x, b_cells, moduli))] = True
+        got = self.check(a, b)
+        assert all(counts.max() == 7 for counts in got)
+        small = np.zeros((3,) + moduli, dtype=bool)
+        for row in small:
+            row.reshape(-1)[rng.choice(b.size, 7, replace=False)] = True
+        got = self.check(small, np.ones(moduli, dtype=bool))
+        assert np.all(got == 7)
+
+    def test_several_packs(self, monkeypatch):
+        # |A|, |B| about 1500 of 4096: w = 11, and the bound allows P = 3
+        # (P = 4 would pass w P <= 52 but not 2^-8), so 7 rows take 3 packs
+        rng = np.random.default_rng(3)
+        a = rng.random((7, 4096)) < 0.37
+        b = rng.random(4096) < 0.37
+        calls = transform_pairs(monkeypatch)
+        got = sumset_counts(a, b)
+        assert len(calls) == 1 + 3
+        monkeypatch.undo()
+        assert np.array_equal(got, np.stack([pair_counts(row, b) for row in a]))
+        assert np.array_equal(got, np.stack([sumset_counts(row, b) for row in a]))
+
+    def test_bound_forces_single_rows(self, monkeypatch):
+        # half of Z_{2^20} against half of it: w = 20 would fit two digits in
+        # 52 bits, but the bound for P = 2 is about 2^-5, so every row is a pack
+        # of one; the counts are the trapezoid of two intervals
+        N, half = 1 << 20, 1 << 19
+        a = np.zeros((2, N), dtype=bool)
+        a[0, :half] = True
+        a[1, 7:7 + half] = True
+        b = np.zeros(N, dtype=bool)
+        b[:half] = True
+        calls = transform_pairs(monkeypatch)
+        got = sumset_counts(a, b)
+        assert len(calls) == 1 + 2
+        x = np.arange(N)
+        trapezoid = np.maximum(np.minimum(np.minimum(x + 1, half), 2 * half - 1 - x), 0)
+        assert np.array_equal(got[0], trapezoid)
+        assert np.array_equal(got[1], np.roll(trapezoid, 7))
+
+
 class TestCoverReport:
     """The bias-to-sumset inequality, as `verify_coverage_bound` certifies it."""
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nullcover
@@ -67,6 +68,22 @@ class TestImportGraph:
         # numpy's default np.unique imports numpy.ma; the cascade sorts its
         # cells without it
         assert not {"nullcover.covering", "nullcover.fractal", "numpy.ma"} & mods
+
+    def test_dimension(self, tmp_path):
+        mods = loaded_modules(run_cli("dimension", "--out", str(tmp_path / "dim.json")))
+        assert "nullcover.fractal" in mods
+        # unique cells are sorted and compared, never hashed by np.unique
+        assert "numpy.ma" not in mods
+
+    def test_cover_cube_family(self, tmp_path):
+        rng = np.random.default_rng(5)
+        members = [np.argwhere(rng.random(512) < 0.85).tolist() for _ in range(2)]
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"d": 1, "kind": "cube", "point_exponent": 9, "members": members}))
+        mods = loaded_modules(run_cli("cover", "--family", str(family), "--g", "8", "--eps", "9/10", "--seed", "3",
+                                      "--out", str(tmp_path / "cover.json")))
+        assert "nullcover.covering" in mods
+        assert "numpy.ma" not in mods
 
 
 class TestLazyExports:
