@@ -414,12 +414,18 @@ class PatchTemplate:
     def cell_count(self) -> int:
         return int(self.cells.size)
 
-    def cyclic_uncovered(self, a_cells: np.ndarray) -> int:
-        """Exact count of residues of Z_m not covered by a_cells + prop_cells."""
-        a, b = np.zeros((2, self.m), dtype=bool)
-        a[np.asarray(a_cells, dtype=np.int64) % self.m] = True
+    def cyclic_uncovered(self, cell_sets: list[np.ndarray]) -> list[int]:
+        """Exact count of residues of Z_m not covered by S + prop_cells, per cell set S.
+
+        One batched `sumset_counts` call: prop_cells is transformed once for all
+        the sets, and their rows share packed transform pairs.
+        """
+        a = np.zeros((len(cell_sets), self.m), dtype=bool)
+        for row, cells in zip(a, cell_sets):
+            row[np.asarray(cells, dtype=np.int64) % self.m] = True
+        b = np.zeros(self.m, dtype=bool)
         b[self.prop_cells] = True
-        return int(self.m - np.count_nonzero(sumset_counts(a, b)))
+        return [self.m - int(n) for n in np.count_nonzero(sumset_counts(a, b), axis=1)]
 
     def certificate(self) -> dict:
         return {

@@ -665,9 +665,9 @@ def full_measure_run(
                 )
             a_cells = np.arange(m, dtype=np.int64)  # the canonical interior cube
             in_4q = (-Fraction(3, 2) * m, Fraction(5, 2) * m)  # 4Q = [-3/2, 5/2] of the unit cube
-        u_full = tpl.cyclic_uncovered(a_cells)
-        # also certify a threshold-sized subsample (the sparse-regime check)
-        u_sub = tpl.cyclic_uncovered(a_cells[(np.arange(need, dtype=np.int64) * a_cells.size) // need])
+        # the cells, and a threshold-sized subsample of them (the sparse-regime check)
+        u_full, u_sub = tpl.cyclic_uncovered(
+            [a_cells, a_cells[(np.arange(need, dtype=np.int64) * a_cells.size) // need]])
         if not (u_sub <= eps_j * m):
             raise EngineError(f"cyclic coverage certificate failed at stage {j + 1}")
         cube_level, cube_count = level, cube_count * tpl.cell_count

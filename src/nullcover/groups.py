@@ -22,10 +22,16 @@ Its first argument may stack several sets A along a leading axis against one B,
 whose transform is then computed once for all of them; on the FFT branch the
 batch rows also share transform pairs, several rows packed as the base-2^w
 digits of one real signal.
+
+A `GroupSubset` is immutable: it keeps a read-only copy of its mask, and on
+(Z_2)^r it computes its exact spectrum once, on first use.  `linear_bias` and
+`sumset` both read that spectrum, so a fixed set B certified against many sets A
+is transformed once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -111,12 +117,17 @@ class GroupFunction:
 
 
 class GroupSubset:
-    """Subset of a finite abelian group stored as a boolean mask."""
+    """Subset of a finite abelian group stored as a read-only boolean mask.
+
+    The mask is a copy of the one given, so the subset never changes; its size and,
+    on (Z_2)^r, its spectrum are computed on first use and kept.
+    """
 
     def __init__(self, group: FiniteAbelianGroup, mask):
-        mask = np.asarray(mask, dtype=bool).reshape(-1)
+        mask = np.array(mask, dtype=bool).reshape(-1)
         if mask.size != group.order:
             raise GroupError(f"expected {group.order} mask entries, got {mask.size}")
+        mask.setflags(write=False)
         self.group = group
         self.mask = mask
 
@@ -127,9 +138,17 @@ class GroupSubset:
             mask[group.index(mem)] = True
         return cls(group, mask)
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
-        return int(self.mask.sum())
+        return int(np.count_nonzero(self.mask))
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """W(xi) = sum_{x in B} (-1)^(x.xi) on (Z_2)^r, read-only; int32 is exact, as
+        |W| <= |B| <= |G| and the exact kernels take |G| <= 2^24."""
+        w = wht_int(self.mask, self.group.moduli).astype(np.int32)
+        w.setflags(write=False)
+        return w
 
     def members(self) -> list[tuple[int, ...]]:
         """Members as coordinate tuples in lexicographic order."""
@@ -230,8 +249,7 @@ def linear_bias(B: GroupSubset):
     if G.order == 1:
         raise GroupError("linear bias undefined on the trivial group (no nonzero frequency)")
     if G.is_elementary_2:
-        w = wht_int(B.mask.astype(np.int64), G.moduli)
-        return Fraction(int(np.abs(w[1:]).max()), G.order)
+        return Fraction(int(np.abs(B.spectrum[1:]).max()), G.order)
     vals = np.fft.fftn(B.mask.astype(float).reshape(G.moduli)).reshape(-1)
     return float(np.abs(vals[1:]).max() / G.order)
 
@@ -247,7 +265,8 @@ def sumset_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     `a` may carry one leading batch axis, one member A per row; B is transformed once
     and the result has a's shape.  On (Z_2)^r each row is a pack of its own:
     wht(wht(a) * wht(b)) / 2^r, exact, since every partial sum is at most
-    |G| sqrt(|A| |B|) <= |G|^2 < 2^48 (Cauchy-Schwarz, Parseval, |G| <= 2^24).
+    |G| sqrt(|A| |B|) <= |G|^2 < 2^48 (Cauchy-Schwarz, Parseval, |G| <= 2^24);
+    `sumset` runs the same count step on a `GroupSubset`'s kept spectrum.
 
     Elsewhere P rows share one rfftn/irfftn pair as the base-2^w digits of one real
     signal f = sum_j 2^(w j) 1_{A_j}, w = bit_length(min(|B|, max_j |A_j|)), so every
@@ -266,12 +285,18 @@ def sumset_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         wb = wht_int(b, shape)
 
         def counts(row):
-            return (wht_int(wht_int(row, shape) * wb, shape) >> b.ndim).reshape(shape)
+            return _wht_counts(row, wb, shape) >> b.ndim
     else:
         fb = np.fft.rfftn(b, axes=axes)
 
         def counts(f):
-            prod = np.fft.irfftn(np.fft.rfftn(f, axes=axes) * fb, s=shape, axes=axes)
+            # each |G|-sized temporary is dropped once read, so a packed signal
+            # costs no more peak memory than a single row
+            spec = np.fft.rfftn(f, axes=axes)
+            del f
+            spec *= fb
+            prod = np.fft.irfftn(spec, s=shape, axes=axes)
+            del spec
             return np.rint(prod, out=prod).astype(np.int64)
         if a.ndim > b.ndim:
             size_a = int(np.count_nonzero(a, axis=tuple(range(1, a.ndim))).max(initial=0))
@@ -299,8 +324,17 @@ def sumset_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.empty(a.shape, dtype=np.int64) if out is None else out
 
 
+def _wht_counts(a: np.ndarray, wb: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """2^r r(x) = wht(wht(a) * W_B)(x) on (Z_2)^r, for a set a and the transform W_B of B."""
+    wa = wht_int(a, shape)
+    wa *= wb
+    return wht_int(wa, shape).reshape(shape)
+
+
 def sumset(A: GroupSubset, B: GroupSubset) -> GroupSubset:
-    """A+B, the support of `sumset_counts`."""
+    """A+B, the support of `sumset_counts`; on (Z_2)^r it reads B's kept spectrum."""
     _check_same_group(A, B)
     shape = A.group.moduli
+    if A.group.is_elementary_2:
+        return GroupSubset(A.group, _wht_counts(A.mask, B.spectrum, shape) > 0)
     return GroupSubset(A.group, sumset_counts(A.mask.reshape(shape), B.mask.reshape(shape)) > 0)

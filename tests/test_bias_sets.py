@@ -278,7 +278,7 @@ class TestPatchTemplate:
         m = tpl.m
         rng = np.random.default_rng(5)
         for a_cells in (np.flatnonzero(rng.random(m) < 0.5), rng.choice(m, 3, replace=False), [m - 1]):
-            u = tpl.cyclic_uncovered(np.asarray(a_cells))
+            [u] = tpl.cyclic_uncovered([np.asarray(a_cells)])
             # brute-force oracle
             covered = set()
             for a in a_cells:
@@ -294,7 +294,7 @@ class TestPatchTemplate:
         for _ in range(20):
             size = tpl.threshold_nz + int(rng.integers(0, m // 4))
             a_cells = rng.choice(m, size=min(size, m), replace=False)
-            u = tpl.cyclic_uncovered(a_cells)
+            [u] = tpl.cyclic_uncovered([a_cells])
             assert u <= tpl.eps * m
 
     def test_full_grid_family_coverage(self):
@@ -313,7 +313,7 @@ class TestPatchTemplate:
         b_lo, b_hi = merge_int(int(corner * D) + c * w, int(corner * D) + (c + 1) * w)
         full = np.arange(m, dtype=np.int64)
         for a_cells in (full, full[(np.arange(need, dtype=np.int64) * m) // need]):
-            assert tpl.cyclic_uncovered(a_cells) == 0
+            assert tpl.cyclic_uncovered([a_cells]) == [0]
             parts = [points_plus(p, b_lo, b_hi) for p in np.array_split((2 * a_cells + 1) * (w // 2), 8)]
             union = merge_int(np.concatenate([lo for lo, _ in parts]), np.concatenate([hi for _, hi in parts]))
             for a0 in a0s:

@@ -30,7 +30,7 @@ from nullcover.elementary import (
     merge_intervals,
     points_plus,
 )
-from nullcover.bias_sets import build_bias_complement, select_parameters
+from nullcover.bias_sets import build_bias_complement, select_parameters, verify_coverage_bound
 from nullcover.fractal import (
     DyadicCubeSet,
     GaugeFunction,
@@ -473,9 +473,15 @@ class TestPinnedOutputs:
         assert _digest({"cells": res.cells.tolist(), "certificate": res.certificate}) == digest
 
 
+@pytest.fixture(scope="module")
+def certify_complement():
+    return build_bias_complement(select_parameters(Fraction(1, 3), 256, 2))
+
+
 class TestPinnedCertificates:
     """sha256 of the other certify outputs, recorded before the packed sumset,
-    the sort-based cells, the lazy digit boxes and the Frobenius powers."""
+    the sort-based cells, the lazy digit boxes and the Frobenius powers; the
+    coverage certificates before B's spectrum was kept on the subset."""
 
     @pytest.mark.parametrize("rule, depth, digest", [
         ({"kind": "digits", "base": 3, "digits": [0, 2]}, 5, "3476c9b757650b42a457d38c2a40e91cbf8336f06794d21e0d68159581a939a5"),
@@ -503,9 +509,32 @@ class TestPinnedCertificates:
     def test_kth_power_codes(self, t, k, digest):
         assert _digest({"codes": kth_power_codes(make_field(2, t), k).tolist()}) == digest
 
-    def test_bias_set_certificate(self):
-        comp = build_bias_complement(select_parameters(Fraction(1, 3), 256, 2))
+    def test_bias_set_certificate(self, certify_complement):
+        comp = certify_complement
         assert _digest({"certificate": comp.certificate(), "codes": comp.codes.tolist()}) == "022d87bfca8b037ed5819ee8ead0225a5c0f05d47ba31931878fcd50a315db82"
+
+    @pytest.mark.parametrize("size_a, digest", [
+        (16, "51ab2be468f057187dacb0ae1693d13d7eb615274e42e909c8accbbf19321b9d"),
+        (32, "6cb2f8fb19111449a4e8757eaf841b277280df895dcfdba31ccfeae3e5c49361"),
+        (64, "ad9ef4e7c7f9ea6c5619bd6c537da18e6bd601af970ae9393277ba95f769ef6e"),
+        (128, "e9251fba5e65cb5632080127e4869ea7ebf0ac31d519b65caf71ee8fbeb011f8"),
+        (256, "71fb092ff4e8a3721d7e3a0a16fe294b3e63a783282144f3392ad9bc4bc2c861"),
+    ])
+    def test_coverage_certificate(self, certify_complement, size_a, digest):
+        # the certify B* over (Z_2)^16 against a seeded A, bias recomputed
+        B = certify_complement.subset
+        mask = np.zeros(B.group.order, dtype=bool)
+        mask[np.random.default_rng(size_a).choice(B.group.order, size_a, replace=False)] = True
+        cert = verify_coverage_bound(GroupSubset(B.group, mask), B, Fraction(1, 3))
+        assert _digest(cert.to_json_dict()) == digest
+
+    def test_coverage_certificate_float_bias(self):
+        # B* read in Z_16 x Z_16, where the bias is a float
+        B = build_bias_complement(select_parameters(Fraction(1, 3), 16, 2), reinterpret=True).reinterpreted
+        mask = np.zeros(B.group.order, dtype=bool)
+        mask[np.random.default_rng(5).choice(B.group.order, 3, replace=False)] = True
+        cert = verify_coverage_bound(GroupSubset(B.group, mask), B, Fraction(1, 3))
+        assert _digest(cert.to_json_dict()) == "23226f6b21b727020045a15119b81e71dd1ac5de10792bb7e61c1b042ac743f5"
 
     def test_set_file_without_boxes_round_trips(self):
         # a digits generator read from a file without "boxes" gains none

@@ -8,7 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nullcover.bias_sets import ParameterError, verify_coverage_bound
+from nullcover import groups
+from nullcover.bias_sets import (
+    ParameterError,
+    build_bias_complement,
+    build_patch_template,
+    select_parameters,
+    verify_coverage_bound,
+)
 from nullcover.groups import (
     FiniteAbelianGroup,
     GroupError,
@@ -425,3 +432,83 @@ def test_subset_serialization_roundtrip():
     d = B.to_json_dict()
     assert d["members"] == sorted(d["members"])  # lexicographic order
     assert GroupSubset.from_json_dict(d) == B
+
+
+class TestFixedSubset:
+    """A subset keeps a read-only copy of its mask, and its size and spectrum are
+    computed once."""
+
+    def test_mask_is_read_only(self):
+        B = GroupSubset(FiniteAbelianGroup((2,) * 4), np.arange(16) % 3 == 0)
+        with pytest.raises(ValueError):
+            B.mask[0] = False
+        with pytest.raises(ValueError):
+            B.spectrum[0] = 0
+
+    @pytest.mark.parametrize("moduli", [(2,) * 6, (6, 4)])
+    def test_source_mutation_changes_nothing(self, moduli):
+        g = FiniteAbelianGroup(moduli)
+        src = np.random.default_rng(3).random(g.order) < 0.4
+        kept = src.copy()
+        B = GroupSubset(g, src)
+        size = B.size
+        spectrum = B.spectrum.copy() if g.is_elementary_2 else None
+        src[:] = ~src
+        assert np.array_equal(B.mask, kept) and B.size == size == int(kept.sum())
+        if g.is_elementary_2:
+            assert np.array_equal(B.spectrum, spectrum)
+
+    @pytest.mark.parametrize("r", [1, 5, 12])
+    def test_spectrum_is_the_wht(self, r):
+        g = FiniteAbelianGroup((2,) * r)
+        B = GroupSubset(g, np.random.default_rng(r).random(g.order) < 0.3)
+        assert B.spectrum.dtype == np.int32
+        assert np.array_equal(B.spectrum, wht_int(B.mask, g.moduli))
+        with pytest.raises(GroupError):
+            GroupSubset(Z8, np.ones(8, dtype=bool)).spectrum
+
+    def test_b_transformed_once_for_many_certificates(self, monkeypatch):
+        # the complement is built, then certified against five sets A with the
+        # bias recomputed each time: B's mask goes through the butterfly once
+        seen, real = [], groups.wht_int
+
+        def counted(values, moduli):
+            seen.append(np.array(values).reshape(-1))
+            return real(values, moduli)
+
+        monkeypatch.setattr(groups, "wht_int", counted)
+        comp = build_bias_complement(select_parameters(Fraction(1, 3), 16, 2))
+        B, rng = comp.subset, np.random.default_rng(8)
+        for size in (1, 2, 5, 9, 40):
+            mask = np.zeros(B.group.order, dtype=bool)
+            mask[rng.choice(B.group.order, size, replace=False)] = True
+            verify_coverage_bound(GroupSubset(B.group, mask), B, Fraction(1, 3))
+        assert sum(np.array_equal(v, B.mask) for v in seen) == 1
+        assert len(seen) == 1 + 2 * 5  # and two per sumset, for A and the product
+
+    @pytest.mark.parametrize("r", [1, 4, 7])
+    def test_2_group_sumset_is_the_count_support(self, r):
+        g = FiniteAbelianGroup((2,) * r)
+        rng = np.random.default_rng(r + 40)
+        masks = [rng.random(g.order) < 0.2, rng.random(g.order) < 0.5,
+                 np.zeros(g.order, dtype=bool), np.ones(g.order, dtype=bool)]
+        for ma in masks:
+            for mb in masks:
+                A, B = GroupSubset(g, ma), GroupSubset(g, mb)
+                S = sumset(A, B)
+                want = sumset_counts(ma.reshape(g.moduli), mb.reshape(g.moduli)) > 0
+                assert np.array_equal(S.mask, want.reshape(-1))
+                assert set(S.members()) == sumset_oracle(A, B)
+
+
+def test_batched_cyclic_uncovered_equals_per_set_counts():
+    tpl = build_patch_template(Fraction(1, 2), Fraction(1, 4), wraps=(-1, 0, 1), min_m=64)
+    m, rng = tpl.m, np.random.default_rng(21)
+    sets = [np.arange(m), rng.choice(m, tpl.threshold_nz, replace=False), np.array([m - 1, 2 * m + 3]),
+            np.array([], dtype=np.int64), np.flatnonzero(rng.random(m) < 0.05)]
+    got = tpl.cyclic_uncovered(sets)
+    assert got == [u for cells in sets for u in tpl.cyclic_uncovered([cells])]
+    for cells, u in zip(sets, got):
+        covered = {(int(a) + int(b)) % m for a in cells for b in tpl.prop_cells}
+        assert u == m - len(covered)
+    assert tpl.cyclic_uncovered([]) == []
