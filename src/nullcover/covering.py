@@ -18,11 +18,14 @@ witness point inside its own pixel), which can never report a false positive.
 Convolution counts are computed by FFT and rounded; they are exact because
 all counts are integers far below 2^53 and the FFT error at these sizes is
 orders of magnitude below 1/2.
+
+The 1-d greedy piece cover of the recursive-rectangles engine is
+`elementary.greedy_piece_cover`; its `CoverError` is imported here, so the
+errors of both modules are one class.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,20 +33,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from nullcover.elementary import (
-    covered_measure,
-    first_gap,
-    frac,
-    json_int,
-    merge_int,
-    points_plus,
-    unique_cells,
-)
+from nullcover.elementary import CoverError, frac, json_int, unique_cells
 from nullcover.groups import FiniteAbelianGroup, GroupSubset, sumset_counts
-
-
-class CoverError(ValueError):
-    pass
 
 
 # the largest dense mask a construction allocates holds 2^MAX_MASK_BITS cells
@@ -450,113 +441,3 @@ def dyadic_cover_complement(
         "symbol_note": "the measure budget eps is sometimes written eta; one symbol here",
     }
     return DyadicCoverResult(cells=cells, g=g, certificate=cert)
-
-
-# ---------------------------------------------------------------------------
-# greedy piece cover (d = 1)
-
-
-N_CANDIDATES = 48  # witnesses tried per uncovered point
-PROBE_STRIDE = 4  # every 4th point is a probe translate
-
-
-def greedy_piece_cover(
-    members: Sequence[tuple[np.ndarray, np.ndarray]],
-    piece_w: int,
-    allowed_lo: int,
-    allowed_hi: int,
-    budget: int,
-) -> list[tuple[int, int]]:
-    """Deterministic greedy cover with width-`piece_w` pieces at exact witness
-    offsets: every member's target ends up inside points + union(T).
-
-    A member is (points sorted ascending, targets), the targets an (n, 2)
-    array of (lo, hi) rows.  At each uncovered point u the candidate anchors
-    are u - x for N_CANDIDATES witnesses x picked across the whole
-    window-admissible range; the anchor whose piece is fresh for the most
-    probe translates (every PROBE_STRIDE-th point) wins (ties to the
-    smallest anchor).  Anchoring at exact offsets lets self-similar point
-    sets reuse pieces heavily, which is what keeps the measure near the
-    structural optimum.  `budget` bounds the merged measure of T (same
-    integer frame), checked after every piece; CoverError when exceeded.
-
-    A member that is a translate (points + c, target + c) of a member already
-    walked is skipped: once (points, target) is walked, target lies inside
-    points + union(T), and pieces are only ever added, so the translate is
-    covered too and its walk would add nothing.  The engine passes one map
-    per scale, so the translates left are those between anchors: windows of
-    a self-similar point set repeat, and so do their members.
-    """
-    offs: list[int] = []  # the chosen offsets, sorted
-    measure = 0  # merged measure of union(T)
-    walked: set[tuple[int, bytes]] = set()
-    for mi, (pts, targets) in enumerate(members):
-        pts, targets = np.asarray(pts, dtype=np.int64), np.asarray(targets, dtype=np.int64)
-        if pts.size == 0:
-            raise CoverError(f"member {mi} has no points")
-        # points and target relative to the first point; the size splits the two
-        key = (pts.size, (np.concatenate((pts, targets.ravel())) - pts[0]).tobytes())
-        if key in walked:
-            continue
-        walked.add(key)
-        probes = pts[::PROBE_STRIDE]
-        taken = np.array(offs, dtype=np.int64)
-        union = points_plus(pts, taken, taken + piece_w)
-        # a target covered now stays covered, so only the open ones are walked
-        lo_t, hi_t = targets.T
-        open_now = covered_measure(*union, lo_t, hi_t) < hi_t - lo_t
-        for lo, hi in targets[open_now].tolist():
-            while True:
-                u = first_gap(*union, lo, hi)
-                if u is None:
-                    break
-                # witnesses whose offset can sit inside the allowed window
-                w0 = int(np.searchsorted(pts, u - (allowed_hi - piece_w), side="left"))
-                w1 = int(np.searchsorted(pts, u - allowed_lo, side="right"))
-                if w1 <= w0:
-                    raise CoverError(
-                        f"cannot cover member {mi} at {u} within the allowed window"
-                    )
-                iu = int(np.searchsorted(pts, u, side="right"))
-                cand = set(range(max(w0, iu - N_CANDIDATES // 2), min(w1, iu + 8)))
-                if len(cand) < N_CANDIDATES:
-                    stride = max(1, (w1 - w0) // (N_CANDIDATES - len(cand) + 1))
-                    cand.update(range(w0, w1, stride))
-                # u is a gap of pts + union(T), so no u - x is an offset taken
-                o = u - pts[sorted(cand)]
-                o = o[(o >= allowed_lo) & (o + piece_w <= allowed_hi)]
-                if o.size == 0:
-                    raise CoverError(
-                        f"cannot cover member {mi} at {u} within the allowed window"
-                    )
-                # fresh measure each piece would add across probe translates;
-                # the largest gain wins, ties to the smallest offset
-                q0 = np.maximum(probes + o[:, None], lo)
-                q1 = np.minimum(probes + o[:, None] + piece_w, hi)
-                fresh = np.where(q1 > q0, (q1 - q0) - covered_measure(*union, q0, q1), 0)
-                gain = fresh.sum(axis=1)
-                best = int(o[gain == gain.max()].min())
-                union = _extend(union, pts, best, best + piece_w)
-                measure += _insert_offset(offs, best, piece_w)
-                if measure > budget:
-                    raise CoverError(f"greedy piece cover exceeded the budget {budget}")
-    return [(o, o + piece_w) for o in offs]
-
-
-def _insert_offset(offs: list[int], b: int, w: int) -> int:
-    """Insert the new offset b into the sorted offsets of width-w pieces and
-    return how much their merged measure grows.  That measure is the sum of
-    min(w, next - cur) over the offsets, the last one counting w, so b adds
-    its two terms and removes the one of the pair (pred, succ) it splits; a
-    missing neighbour counts w."""
-    i = bisect.bisect_left(offs, b)
-    left = min(w, b - offs[i - 1]) if i else w
-    right = min(w, offs[i] - b) if i < len(offs) else w
-    split = min(w, offs[i] - offs[i - 1]) if 0 < i < len(offs) else w
-    offs.insert(i, b)
-    return left + right - split
-
-
-def _extend(union, pts: np.ndarray, lo: int, hi: int):
-    """A merged union grown by pts + [lo, hi]."""
-    return merge_int(np.concatenate((union[0], pts + lo)), np.concatenate((union[1], pts + hi)))

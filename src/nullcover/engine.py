@@ -10,7 +10,7 @@ intervals (width a power of two over D), so their volumes are exact dyadic
 rationals.
 
 Per iteration j, `rrp_run` builds one step-wide piece set T with a single
-call to `covering.greedy_piece_cover`: one obligation per (anchor a, map
+call to `elementary.greedy_piece_cover`: one obligation per (anchor a, map
 scale), for the first map f of the scale (the other maps of it are
 translates on the frame, and so are their obligations): the images under f
 of the points within rho_j of a paired with the part of f(a) + K_j inside
@@ -46,6 +46,7 @@ import numpy as np
 from nullcover.elementary import (
     first_gap,
     frac,
+    greedy_piece_cover,
     json_int,
     merge_int,
     merge_intervals,
@@ -53,12 +54,12 @@ from nullcover.elementary import (
 from nullcover.elementary import points_plus as _covered_union
 from nullcover.elementary import twice_excess as _directed_hausdorff_intervals
 
-# Names the engine calls from the rrp half (covering) and from the cascade
-# half (bias_sets, which brings gf and groups), imported on first use so that
-# a run loads only its own half.  They stay module attributes looked
-# up at call time, so a wrapper set on `engine.<name>` sees every call.
+# Names the engine calls from the cascade half (bias_sets, which brings gf
+# and groups), imported on first use; the rrp half is `elementary`, imported
+# above, so an rrp run loads no other module.  These names and those above
+# stay module attributes looked up at call time, so a wrapper set on
+# `engine.<name>` sees every call.
 _LAZY = {
-    "greedy_piece_cover": ("nullcover.covering", "greedy_piece_cover"),
     "ParameterError": ("nullcover.bias_sets", "ParameterError"),
     "build_patch_template": ("nullcover.bias_sets", "build_patch_template"),
 }
@@ -324,7 +325,6 @@ def rrp_run(
     R = [r_lo, r_hi] is the least one on the 1/16 grid with [0, 1] inside
     f(a0) + R for every map.
     """
-    _bind("greedy_piece_cover")
     if depth < 1:
         raise EngineError(f"rrp depth must be >= 1, got {depth}")
     points = sorted(frac(p) for p in points)
@@ -364,22 +364,30 @@ def rrp_run(
         w_piece = D >> piece_w_schedule[j]
         rho = int(frac(rho_schedule[j]) * D)
         budget_total = (D >> (j + 1)) // 5  # 5^-d 2^-(j+1) in frame units
-        anchors = [0] if j == 0 else range(len(points))
+        n_anchors = 1 if j == 0 else len(points)  # the first n_anchors points
         hull_lo = int(k_cur[0][0]) - rho - w_piece
         hull_hi = int(k_cur[1][-1]) + rho + w_piece
+        # for all anchors a at once: the window [i0, i1) of points within rho
+        # of a, and per map the rows of f(a) + K_j clipped to f(a0) + R
+        i0s = np.searchsorted(pts_plain, pts_plain[:n_anchors] - rho, side="left").tolist()
+        i1s = np.searchsorted(pts_plain, pts_plain[:n_anchors] + rho, side="right").tolist()
+        per_map = []
+        for img, t_lo, t_hi in targets:
+            rows = np.empty((n_anchors, k_cur[0].size, 2), dtype=np.int64)
+            np.maximum(img[:n_anchors, None] + k_cur[0], t_lo, out=rows[..., 0])
+            np.minimum(img[:n_anchors, None] + k_cur[1], t_hi, out=rows[..., 1])
+            keep = rows[..., 1] > rows[..., 0]
+            # f is monotone on the sorted points: each window's images come
+            # out ascending, or descending for a negative scale
+            per_map.append((img, bool(img[0] > img[-1]), rows, keep, keep.any(axis=1).tolist()))
         obligations = []
-        for ai in anchors:
-            i0 = int(np.searchsorted(pts_plain, pts_plain[ai] - rho, side="left"))
-            i1 = int(np.searchsorted(pts_plain, pts_plain[ai] + rho, side="right"))
+        for a, (i0, i1) in enumerate(zip(i0s, i1s)):
             if i1 <= i0:
                 continue
-            for img in scaled:
-                fa = int(img[ai])
-                lo2 = np.maximum(fa + k_cur[0], img[0] + r_lo_i)
-                hi2 = np.minimum(fa + k_cur[1], img[0] + r_hi_i)
-                keep = hi2 > lo2
-                if keep.any():
-                    obligations.append((np.sort(img[i0:i1]), np.stack((lo2[keep], hi2[keep]), 1)))
+            for img, desc, rows, keep, live in per_map:
+                if live[a]:
+                    win = img[i0:i1]
+                    obligations.append((win[::-1] if desc else win, rows[a][keep[a]]))
         if not obligations:
             raise EngineError(f"step {j}: no coverage obligations (empty windows)")
         pieces_all = greedy_piece_cover(obligations, piece_w=w_piece, allowed_lo=hull_lo,

@@ -189,9 +189,16 @@ def wht_int(values: np.ndarray, moduli: tuple[int, ...]) -> np.ndarray:
     a = np.array(values, dtype=np.int64).reshape(-1)
     if a.size != 1 << r:
         raise GroupError(f"wht_int needs 2^{r} values, got {a.size}")
+    return _butterflies(a)
+
+
+def _butterflies(a: np.ndarray) -> np.ndarray:
+    """The unnormalized WHT of a 1-d int64 array of length 2^r that the caller
+    owns, computed in a and one scratch array of its size; returns whichever
+    of the two holds the result."""
     out = np.empty_like(a)
     half = a.size // 2
-    for _ in range(r):
+    for _ in range(a.size.bit_length() - 1):
         # butterfly on the last axis of (2,)^r, written as the first axis: after
         # r rounds every axis is transformed once and the axis order is back
         lo, hi = a[0::2], a[1::2]
@@ -325,10 +332,11 @@ def sumset_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _wht_counts(a: np.ndarray, wb: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """2^r r(x) = wht(wht(a) * W_B)(x) on (Z_2)^r, for a set a and the transform W_B of B."""
+    """2^r r(x) = wht(wht(a) * W_B)(x) on (Z_2)^r, for a set a and the transform W_B of B.
+    The product is this function's own, so the second transform runs on it in place."""
     wa = wht_int(a, shape)
     wa *= wb
-    return wht_int(wa, shape).reshape(shape)
+    return _butterflies(wa).reshape(shape)
 
 
 def sumset(A: GroupSubset, B: GroupSubset) -> GroupSubset:

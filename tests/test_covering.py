@@ -15,8 +15,6 @@ from nullcover.covering import (
     ThresholdError,
     dyadic_cover_complement,
     family_hausdorff_cover_count,
-    greedy_piece_cover,
-    _insert_offset,
     pixel_cover_mask,
     random_cover_complement,
     size_threshold,
@@ -24,13 +22,18 @@ from nullcover.covering import (
 )
 from nullcover.elementary import (
     IntervalAccumulator,
+    _insert_offset,
     covered_measure,
     first_gap,
+    greedy_piece_cover,
     merge_int,
     merge_intervals,
     points_plus,
 )
+from nullcover import engine
 from nullcover.bias_sets import build_bias_complement, select_parameters, verify_coverage_bound
+from nullcover.cli import main
+from nullcover.engine import AffineMap, FunctionFamily, middle_thirds_points, rrp_run
 from nullcover.fractal import (
     DyadicCubeSet,
     GaugeFunction,
@@ -766,3 +769,64 @@ class TestGreedyPieceCover:
         pieces = greedy_piece_cover([a, b], budget=1 << 20, **kw)
         assert pieces == greedy_piece_cover_oracle([a, b], budget=1 << 20, **kw)
         assert pieces != greedy_piece_cover([a], budget=1 << 20, **kw)
+
+
+def rrp_greedy_calls(monkeypatch, build) -> list:
+    """The (members, keyword arguments) of every greedy call `build()` makes
+    through `engine.greedy_piece_cover`; a build that raises keeps its calls."""
+    calls, real = [], engine.greedy_piece_cover
+
+    def capture(members, **kw):
+        calls.append((members, kw))
+        return real(members, **kw)
+
+    monkeypatch.setattr(engine, "greedy_piece_cover", capture)
+    try:
+        build()
+    except CoverError:
+        pass
+    return calls
+
+
+def _rrp_build(maps, cantor_depth=7):
+    family = FunctionFamily([AffineMap(Fraction(*s), Fraction(o, 1 << 20)) for s, o in maps], Fraction(2))
+    return lambda: rrp_run(middle_thirds_points(cantor_depth, grid_exp=12), family, depth=3,
+                           rho_schedule=[Fraction(1), Fraction(1, 1 << 10), Fraction(1, 1 << 11)],
+                           piece_w_schedule=[12, 12, 12])
+
+
+class TestGreedyOnRrpObligations:
+    """The greedy against its oracle on the obligations `rrp_run` really makes."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda out: main(["rrp", "--out", str(out)]), id="cli-default"),
+        # benchmark-shaped: 256 snapped middle-thirds points, 8 maps x/2 + s 2^-20
+        pytest.param(lambda out: _rrp_build([((1, 2), s) for s in (3, 17, 40, 41, 99, 128, 200, 255)])(),
+                     id="benchmark-shaped"),
+    ])
+    def test_matches_oracle_and_budget_edge(self, monkeypatch, tmp_path, build):
+        calls = rrp_greedy_calls(monkeypatch, lambda: build(tmp_path / "rrp.json"))
+        assert len(calls) == 3  # one per step
+        assert len(calls[1][0]) == 256  # one obligation per anchor: one map scale
+        for members, kw in calls:
+            pieces = greedy_piece_cover(members, **kw)
+            assert pieces == greedy_piece_cover_oracle(members, **kw)
+            edge = dict(kw, budget=_merged_measure(pieces) - 1)
+            errors = []
+            for builder in (greedy_piece_cover, greedy_piece_cover_oracle):
+                with pytest.raises(CoverError) as exc:
+                    builder(members, **edge)
+                errors.append(str(exc.value))
+            assert errors == [f"greedy piece cover exceeded the budget {edge['budget']}"] * 2
+
+    def test_negative_scale_windows_pinned(self, monkeypatch):
+        # a negative scale maps each anchor's window of sorted points to
+        # descending images; the obligations hold them ascending, and their
+        # digest was recorded when each window was sorted on its own.  The
+        # build runs out of budget at step 2, after its third greedy call.
+        calls = rrp_greedy_calls(monkeypatch, _rrp_build([((-1, 2), (1 << 19) + i) for i in range(3)], 6))
+        members = [[[p.tolist(), t.tolist()] for p, t in obl] for obl, _ in calls]
+        assert [len(m) for m in members] == [1, 128, 128]
+        assert all(pts == sorted(pts) for obl in members for pts, _ in obl)
+        digest = hashlib.sha256(json.dumps(members).encode()).hexdigest()
+        assert digest == "537c7432acb9b05bf375576570696b15f285034865f10e1f61350f26776043a6"

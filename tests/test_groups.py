@@ -469,14 +469,14 @@ class TestFixedSubset:
 
     def test_b_transformed_once_for_many_certificates(self, monkeypatch):
         # the complement is built, then certified against five sets A with the
-        # bias recomputed each time: B's mask goes through the butterfly once
-        seen, real = [], groups.wht_int
+        # bias recomputed each time: B's mask goes through the butterflies once
+        seen, real = [], groups._butterflies
 
-        def counted(values, moduli):
-            seen.append(np.array(values).reshape(-1))
-            return real(values, moduli)
+        def counted(a):
+            seen.append(a.copy())  # the butterflies overwrite their input
+            return real(a)
 
-        monkeypatch.setattr(groups, "wht_int", counted)
+        monkeypatch.setattr(groups, "_butterflies", counted)
         comp = build_bias_complement(select_parameters(Fraction(1, 3), 16, 2))
         B, rng = comp.subset, np.random.default_rng(8)
         for size in (1, 2, 5, 9, 40):

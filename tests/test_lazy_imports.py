@@ -56,8 +56,9 @@ class TestImportGraph:
 
     def test_rrp_build(self, tmp_path):
         mods = loaded_modules(run_cli("rrp", "--depth", "1", "--out", str(tmp_path / "rrp.json")))
-        assert "nullcover.covering" in mods
-        assert not {"nullcover.bias_sets", "nullcover.gf", "nullcover.fractal", "numpy.ma"} & mods
+        # the greedy piece cover is elementary's: no covering, and no groups
+        assert not {"nullcover.covering", "nullcover.groups", "nullcover.bias_sets", "nullcover.gf",
+                    "nullcover.fractal", "numpy.ma"} & mods
 
     def test_cascade_build_and_verify(self, tmp_path):
         trace = str(tmp_path / "fm.json")
@@ -84,6 +85,61 @@ class TestImportGraph:
                                       "--out", str(tmp_path / "cover.json")))
         assert "nullcover.covering" in mods
         assert "numpy.ma" not in mods
+
+
+def readme_import_table() -> dict[str, set[str]]:
+    """The README's subcommand -> modules table: row label -> module names."""
+    lines = iter((ROOT / "README.md").read_text().splitlines())
+    for line in lines:
+        if line.strip() == "| subcommand | modules |":
+            break
+    else:
+        raise AssertionError("README has no subcommand -> modules table")
+    next(lines)  # the |---|---| rule
+    table = {}
+    for line in lines:
+        if not line.strip().startswith("|"):
+            break
+        label, modules = (cell.strip() for cell in line.strip().strip("|").split("|"))
+        table[label] = {m.strip().strip("`") for m in modules.split(",")}
+    return table
+
+
+def readme_row_commands(tmp_path) -> dict[str, list[str]]:
+    """Per README row, the CLI runs it stands for, with their inputs written
+    to tmp_path; the traces to verify are built in this process."""
+    out = str(tmp_path / "out.json")
+    grid, cube = tmp_path / "grid.json", tmp_path / "cube.json"
+    grid.write_text(json.dumps({"d": 1, "kind": "grid", "N": 16, "members": [[[i] for i in range(13)]]}))
+    rng = np.random.default_rng(5)
+    members = [np.argwhere(rng.random(512) < 0.85).tolist() for _ in range(2)]
+    cube.write_text(json.dumps({"d": 1, "kind": "cube", "point_exponent": 9, "members": members}))
+    rrp, fm = str(tmp_path / "rrp.json"), str(tmp_path / "fm.json")
+    assert main(["rrp", "--depth", "1", "--out", rrp]) == 0
+    assert main(["full-measure", "--depth", "1", "--out", fm]) == 0
+    return {
+        "`bias-set`": [run_cli("bias-set", "--eta", "1/3", "--m0", "16", "--out", out)],
+        "`cover` of a grid family": [run_cli("cover", "--family", str(grid), "--eps", "1/2", "--seed", "1",
+                                             "--out", out)],
+        "`cover` of a cube family": [run_cli("cover", "--family", str(cube), "--g", "8", "--eps", "9/10",
+                                             "--seed", "3", "--out", out)],
+        "`dimension`": [run_cli("dimension", "--out", out)],
+        "`rrp`": [run_cli("rrp", "--depth", "1", "--out", out)],
+        "`full-measure`, `verify` of a cascade": [run_cli("full-measure", "--depth", "1", "--out", out),
+                                                   run_cli("verify", fm, "--out", out)],
+        "`verify` of an rrp trace": [run_cli("verify", rrp, "--out", out)],
+    }
+
+
+def test_readme_import_table(tmp_path):
+    # each row names exactly the modules, besides the package and `cli`, that
+    # a fresh interpreter holds after the runs it stands for
+    table, commands = readme_import_table(), readme_row_commands(tmp_path)
+    assert set(table) == set(commands)
+    for label, codes in commands.items():
+        for code in codes:
+            mods = {n.split(".", 1)[1] for n in loaded_modules(code) if n.startswith("nullcover.")}
+            assert mods - {"cli"} == table[label], label
 
 
 class TestLazyExports:
