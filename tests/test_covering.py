@@ -789,6 +789,8 @@ def rrp_greedy_calls(monkeypatch, build) -> list:
 
 
 def _rrp_build(maps, cantor_depth=7):
+    """A depth-3 rrp build, on the CLI's schedules, of the middle-thirds points
+    snapped to 2^-12, under the maps ((n, d), o): x n/d + o 2^-20."""
     family = FunctionFamily([AffineMap(Fraction(*s), Fraction(o, 1 << 20)) for s, o in maps], Fraction(2))
     return lambda: rrp_run(middle_thirds_points(cantor_depth, grid_exp=12), family, depth=3,
                            rho_schedule=[Fraction(1), Fraction(1, 1 << 10), Fraction(1, 1 << 11)],
