@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from nullcover.elementary import frac
+from nullcover.elementary import box_translates, frac
 from nullcover.gf import (
     DEFAULT_FIELD_CAP,
     FieldError,
@@ -60,7 +60,7 @@ class PropositionParams:
     s: int
 
     def __post_init__(self):
-        eta = self.eta
+        eta = frac(self.eta)
         if not (0 < eta <= Fraction(1, 3)):
             raise ParameterError(f"eta must lie in (0, 1/3], got {eta}")
         if not is_prime(self.k):
@@ -71,7 +71,9 @@ class PropositionParams:
             raise ParameterError("s must be >= 1")
         if self.m < self.m0:
             raise ParameterError(f"m = {self.m} below m0 = {self.m0}")
-        if self.m > 4 ** (1 / eta) * self.m0:
+        # m <= 4^(1/eta) m0 exactly: 2^x <= m0^a with eta = a/b, x = a log2(m) - 2b
+        a, x = eta.numerator, eta.numerator * self.s * (self.k - 1) - 2 * eta.denominator
+        if self.m0 < 1 or x > 0 and (x >= a * self.m0.bit_length() or 1 << x > self.m0**a):
             raise ParameterError("m exceeds 4^(1/eta) * m0")
         if (self.q - 1) % self.k != 0:
             raise ParameterError("k does not divide q - 1")
@@ -96,6 +98,20 @@ class PropositionParams:
         }
 
 
+def field_choices(eta: Fraction, m0: int, d: int, cap: int):
+    """(k, s) for each prime k in [1/eta, 2/eta] with k - 1 <= floor(log2 cap) / d
+    (a larger k has q = 2^{ds(k-1)} > cap for every s), ascending in k, with s
+    the least s >= 1 with 2^{s(k-1)} >= m0.  No power of 2 is formed."""
+    if cap < 1:
+        return
+    a, b = eta.numerator, eta.denominator
+    hi = min(2 * b // a, (cap.bit_length() - 1) // d + 1)
+    bits = max(m0 - 1, 0).bit_length()  # 2^{s(k-1)} >= m0 iff s(k-1) >= bits
+    for k in range(-(-b // a), hi + 1):
+        if is_prime(k):
+            yield k, max(1, -(-bits // (k - 1)))
+
+
 def select_parameters(eta, m0: int, d: int, cap: int = DEFAULT_FIELD_CAP) -> PropositionParams:
     """Smallest prime k in [1/eta, 2/eta], then smallest s with 2^{s(k-1)} >= m0."""
     eta = frac(eta)
@@ -103,23 +119,16 @@ def select_parameters(eta, m0: int, d: int, cap: int = DEFAULT_FIELD_CAP) -> Pro
         raise ParameterError(f"eta must lie in (0, 1/3], got {eta}")
     if m0 < 1:
         raise ParameterError("m0 must be >= 1")
-    lo, hi = 1 / eta, 2 / eta
-    k = None
-    n = int(lo) if lo == int(lo) else int(lo) + 1
-    while n <= hi:
-        if is_prime(n):
-            k = n
-            break
-        n += 1
-    if k is None:  # cannot happen for eta <= 1/3 by Bertrand's postulate
-        raise ParameterError(f"no prime in [{lo}, {hi}]")
-    s = 1
-    while (1 << (s * (k - 1))) < m0:
-        s += 1
-    params = PropositionParams(eta=eta, m0=m0, d=d, k=k, s=s)
+    if d < 1:
+        raise ParameterError("d must be >= 1")
+    choice = next(field_choices(eta, m0, d, cap), None)
+    if choice is None:
+        raise ParameterError(f"q = 2^(d s (k-1)) exceeds cap {cap} for every prime k in [1/eta, 2/eta]; "
+                             "the minimal admissible cap is q at the least such k")
+    params = PropositionParams(eta=eta, m0=m0, d=d, k=choice[0], s=choice[1])
     if params.q > cap:
         raise ParameterError(
-            f"q = 2^{d * s * (k - 1)} exceeds cap {cap}; minimal admissible cap is {params.q}"
+            f"q = 2^{d * params.s * (params.k - 1)} exceeds cap {cap}; minimal admissible cap is {params.q}"
         )
     return params
 
@@ -278,7 +287,7 @@ def verify_coverage_bound(A: GroupSubset, B: GroupSubset, eta, bias: Fraction | 
         sumset_size=S.size,
         group_order=n,
         ratio=ratio,
-        lemma_bound=lemma_bound if isinstance(lemma_bound, Fraction) else Fraction(lemma_bound),
+        lemma_bound=lemma_bound,
         headline_bound=headline,
         lemma_ok=lemma_ok,
         headline_ok=ratio <= headline,
@@ -318,11 +327,9 @@ def lift_to_signed_box(B: GroupSubset, m: int, d: int) -> SignedBoxSet:
     if B.group.moduli != (m,) * d:
         raise ParameterError(f"B must live in Z_{m}^{d}")
     base = np.stack(np.unravel_index(np.flatnonzero(B.mask), B.group.moduli), axis=1)
-    shifts = np.array(np.meshgrid(*([[-m, 0]] * d), indexing="ij"), dtype=np.int64).reshape(d, -1).T
     # the translates of B inside [0, m)^d by {-m, 0}^d are disjoint, and
     # SignedBoxSet sorts the rows
-    pts = (base[None, :, :] + shifts[:, None, :]).reshape(-1, d)
-    return SignedBoxSet(d=d, m=m, points=pts)
+    return SignedBoxSet(d=d, m=m, points=box_translates(base, (-m, 0), d))
 
 
 def integer_cover_in_box(A_points: np.ndarray, box: SignedBoxSet, m: int) -> np.ndarray:
@@ -363,23 +370,12 @@ def choose_patch_k(eta_prop: Fraction, min_m: int, cap: int = DEFAULT_FIELD_CAP)
     admissible range is scanned because a larger k often reaches the required
     capacity with a far smaller field (2^{s(k-1)} jumps in huge steps).
     """
-    lo, hi = 1 / eta_prop, 2 / eta_prop
-    best = None
-    n = int(lo) if lo == int(lo) else int(lo) + 1
-    while n <= hi:
-        if is_prime(n):
-            s = 1
-            while (1 << (s * (n - 1))) < min_m:
-                s += 1
-            m = 1 << (s * (n - 1))
-            if m <= cap and (best is None or m < best[1]):
-                best = ((n, s), m)
-        n += 1
-    if best is None:
+    fits = [(k, s) for k, s in field_choices(frac(eta_prop), min_m, 1, cap) if 1 << s * (k - 1) <= cap]
+    if not fits:
         raise ParameterError(
             f"no admissible (k, s) for eta_prop = {eta_prop} with m in [{min_m}, {cap}]"
         )
-    return best[0]
+    return min(fits, key=lambda ks: ks[1] * (ks[0] - 1))
 
 
 @dataclass

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from nullcover.elementary import CoverError, frac, json_int, unique_cells
+from nullcover.elementary import CoverError, box_translates, frac, json_int, unique_cells
 from nullcover.groups import FiniteAbelianGroup, GroupSubset, sumset_counts
 
 
@@ -228,15 +228,6 @@ def lift_cover_to_box(B: GroupSubset):
 # pixel verification (exact, robust semantics)
 
 
-def _upscale_cells(cells: np.ndarray, d: int, factor: int) -> np.ndarray:
-    """Each coarse cell index becomes its factor^d fine subcells."""
-    cells = np.asarray(cells, dtype=np.int64).reshape(-1, d)
-    offs = np.array(
-        np.meshgrid(*([range(factor)] * d), indexing="ij"), dtype=np.int64
-    ).reshape(d, -1).T
-    return (cells[:, None, :] * factor + offs[None, :, :]).reshape(-1, d)
-
-
 def _erode_mask(mask: np.ndarray) -> np.ndarray:
     """Keep t with both t and t + e_j set for every axis j (robust coverage)."""
     out = mask
@@ -404,15 +395,16 @@ def dyadic_cover_complement(
     eps_cyc = eps * Fraction(1, 2 * 6**d)
     grid_family = SetFamily(d=d, kind="grid", N=m, members=grid_members)
     b_cyc, rc_cert = random_cover_complement(grid_family, eps_cyc, seed, max_draws=max_draws)
-    box = lift_cover_to_box(b_cyc)
-    nbr = np.array(np.meshgrid(*([(-1, 0, 1)] * d), indexing="ij"), dtype=np.int64).reshape(d, -1).T
-    cells = (box.points[:, None, :] + nbr[None, :, :]).reshape(-1, d)
+    # the signed-box lift (translates by {-m, 0}^d) and the neighbours
+    # (translates by {-1, 0, 1}^d) in one step: {-m, 0} + {-1, 0, 1} per axis
+    base = np.stack(np.unravel_index(np.flatnonzero(b_cyc.mask), b_cyc.group.moduli), axis=1)
+    cells = box_translates(base, (-m - 1, -m, -m + 1, -1, 0, 1), d)
     cells = cells[np.all((cells >= -m) & (cells < m), axis=1)]  # keep inside [-1,1]^d
     cells = unique_cells(cells, g + 1, lo=-m)
     measure = Fraction(int(cells.shape[0]), m**d)
     if measure > eps:
         raise CoverError(f"measure {measure} exceeds eps {eps}")
-    h_b = _upscale_cells(cells, d, 2)
+    h_b = box_translates(2 * cells, (0, 1), d)  # each cell's 2^d half-width subcells
     window_lo = np.zeros(d, dtype=np.int64)
     window_hi = np.full(d, 1 << (g + 1), dtype=np.int64)
     hcells = [unique_cells(pts >> (pe - g - 1), g + 1) for pts in family.members]

@@ -11,8 +11,9 @@ on these kernels, and so does `greedy_piece_cover`, the piece builder of
 its steps, which lives here so that an rrp run loads no other module of the
 package; `IntervalAccumulator` is the one-interval-at-a-time reference of
 the first kernel.  Higher dimensions only need disjoint-cell unions, which
-the covering and fractal modules keep as integer cell sets, sorted and
-deduplicated on packed int64 keys (`cell_keys`, `unique_cells`).
+the covering and fractal modules keep as integer cell sets, translated by
+one kernel (`box_translates`) and sorted and deduplicated on packed int64
+keys (`cell_keys`, `unique_cells`).
 """
 
 from __future__ import annotations
@@ -247,6 +248,16 @@ def _insert_offset(offs: list[int], b: int, w: int) -> int:
     split = min(w, offs[i] - offs[i - 1]) if 0 < i < len(offs) else w
     offs.insert(i, b)
     return left + right - split
+
+
+def box_translates(cells, offsets, d: int) -> np.ndarray:
+    """cells + {offsets}^d: every row of (n, d) integer cells moved by every
+    vector whose coordinates all lie in `offsets`, as an int64 array of
+    n * len(offsets)^d rows, each cell's translates together in lexicographic
+    order of the vectors."""
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, d)
+    shifts = np.array(np.meshgrid(*([offsets] * d), indexing="ij"), dtype=np.int64).reshape(d, -1).T
+    return (cells[:, None, :] + shifts[None, :, :]).reshape(-1, d)
 
 
 def cell_keys(cells: np.ndarray, bits: int) -> np.ndarray:

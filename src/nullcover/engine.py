@@ -597,13 +597,7 @@ class FullMeasureStage:
         }
 
 
-def full_measure_run(
-    grid: GridSet,
-    eps,
-    depth: int,
-    eta_schedule: Optional[Sequence[Fraction]] = None,
-    cap: int = 1 << 24,
-) -> ConstructionTrace:
+def full_measure_run(grid: GridSet, eps, depth: int) -> ConstructionTrace:
     """Finite-depth full-measure cascade: B_0 = [-1,1]; each stage replaces
     every cube of B_j by a Gauss-sum patch inside its 4-fold inflation, with
 
@@ -624,7 +618,10 @@ def full_measure_run(
     (patches are translates, wraps {-1, 0, 1}), so cube counts stay
     analytic; every inequality is checked in exact rational arithmetic and
     the per-stage cyclic coverage certificates come from the
-    Walsh-Hadamard-exact bias of the underlying k-th power sets.
+    Walsh-Hadamard-exact bias of the underlying k-th power sets.  The
+    template budgets are fixed (1/4 of |B_0| at stage 1, at most 1/2 of |B_j|
+    later), so (grid, eps, depth) determine the trace and
+    `verify_full_measure_trace` rebuilds it from them.
     """
     _bind("ParameterError", "build_patch_template")
     if depth < 1:
@@ -636,8 +633,6 @@ def full_measure_run(
         kind="full_measure",
         meta={"grid": grid.to_json_dict(), "eps": str(eps), "depth": depth},
     )
-    if eta_schedule is None:
-        eta_schedule = [Fraction(1, 4)] + [Fraction(1, 2)] * (depth - 1)
     measure = Fraction(2)  # B_0 = [-1, 1]
     trace.steps.append(FullMeasureStage(
         j=0, cube_level=0, cube_count=2, template_cert=None, measure=measure,
@@ -648,8 +643,7 @@ def full_measure_run(
         eps_j = eps / (1 << (j + 1))
         if j == 0:
             # budget |B_1| <= eta_0 |B_0|, measured against the unit A-cube
-            tpl = build_patch_template(frac(eta_schedule[0]) * measure, eps_j,
-                                       wraps=(-2, -1, 0, 1), min_m=2, cap=cap)
+            tpl = build_patch_template(Fraction(1, 4) * measure, eps_j, wraps=(-2, -1, 0, 1), min_m=2)
             m, need = tpl.m, tpl.threshold_nz
             level = m.bit_length() - 1
             a_cells = grid.cells(level)
@@ -662,8 +656,8 @@ def full_measure_run(
             in_4q = (-2 * m - 1, 2 * m)
         else:
             # per-cube patches, one shared template; budget |B_{j+1}| <= 2^-(j+1)
-            eta_tpl = min(frac(eta_schedule[j]), Fraction(1, 1 << (j + 1)) / measure)
-            tpl = build_patch_template(eta_tpl, eps_j, wraps=(-1, 0, 1), min_m=2, cap=cap)
+            eta_tpl = min(Fraction(1, 2), Fraction(1, 1 << (j + 1)) / measure)
+            tpl = build_patch_template(eta_tpl, eps_j, wraps=(-1, 0, 1), min_m=2)
             m, need = tpl.m, tpl.threshold_nz
             level = cube_level + m.bit_length() - 1
             if grid.spacing_exponent < level:

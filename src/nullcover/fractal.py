@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from nullcover.elementary import cell_keys, frac, json_int, key_cells, unique_cells
+from nullcover.elementary import box_translates, cell_keys, frac, json_int, key_cells, unique_cells
 
 
 class FractalError(ValueError):
@@ -265,10 +265,7 @@ def generate_cantor(rule: dict, depth: int, max_cells: int = 1 << 22) -> DyadicC
                 raise FractalError("schedule resolutions must increase")
             factor = 1 << (g - g_prev)
             # refine every kept cell, then stride-select n_keep cells in total
-            sub = np.array(
-                np.meshgrid(*([range(factor)] * d), indexing="ij"), dtype=np.int64
-            ).reshape(d, -1).T
-            all_fine = (cells[:, None, :] * factor + sub[None, :, :]).reshape(-1, d)
+            all_fine = box_translates(cells * factor, range(factor), d)
             total = all_fine.shape[0]
             if n_keep > total:
                 raise FractalError(f"cannot keep {n_keep} of {total} cells")

@@ -67,11 +67,72 @@ class TestSelectParameters:
         with pytest.raises(ParameterError, match="minimal admissible cap"):
             select_parameters(Fraction(1, 16), 1, 2)  # k = 17 -> q = 2^32
 
+    def test_cap_bounds_the_prime_scan(self):
+        # k >= 1/eta lies far beyond the cap: the search stops before 2^(k-1)
+        for eta in (Fraction(1, 10**6), Fraction(1, 10**11), Fraction(2, 2001), Fraction(1, 10**5000)):
+            with pytest.raises(ParameterError, match="minimal admissible cap"):
+                select_parameters(eta, 2, 1)
+        with pytest.raises(ParameterError, match="no admissible"):
+            choose_patch_k(Fraction(1, 10**11), 2)
+        with pytest.raises(ParameterError, match="d must be >= 1"):
+            select_parameters(Fraction(1, 3), 4, 0)
+
+    @pytest.mark.parametrize("cap", [-1, 0, 1, 4, 15, 16, 1 << 12, 1 << 16, 1 << 24])
+    def test_both_searches_match_oracle(self, cap):
+        def primes(eta):
+            return [n for n in range(2, 200) if all(n % f for f in range(2, n)) and 1 / eta <= n <= 2 / eta]
+
+        def least_s(k, m0):
+            s = 1
+            while 2 ** (s * (k - 1)) < m0:
+                s += 1
+            return s
+
+        for eta in (Fraction(1, 3), Fraction(2, 7), Fraction(1, 12), Fraction(3, 79)):
+            for m0 in (1, 2, 5, 17, 4097, (1 << 24) + 1):
+                for d in (1, 2, 3):
+                    k = primes(eta)[0]
+                    s = least_s(k, m0)
+                    if 2 ** (d * s * (k - 1)) > cap:
+                        with pytest.raises(ParameterError):
+                            select_parameters(eta, m0, d, cap=cap)
+                    else:
+                        p = select_parameters(eta, m0, d, cap=cap)
+                        assert (p.k, p.s) == (k, s)
+                fits = [(k, least_s(k, m0)) for k in primes(eta) if 2 ** (least_s(k, m0) * (k - 1)) <= cap]
+                if not fits:
+                    with pytest.raises(ParameterError):
+                        choose_patch_k(eta, m0, cap=cap)
+                else:
+                    assert choose_patch_k(eta, m0, cap=cap) == min(fits, key=lambda ks: ks[1] * (ks[0] - 1))
+
     def test_invalid_eta(self):
         # the range is checked before the prime search
         for eta in (Fraction(1, 2), Fraction(2), Fraction(0), Fraction(-1, 4)):
             with pytest.raises(ParameterError, match=r"eta must lie in \(0, 1/3\]"):
                 select_parameters(eta, 4, 1)
+
+
+class TestPropositionParams:
+    def test_growth_bound_with_half_integer_inverse_eta(self):
+        # 4^(1/eta) = 4^1000.5 overflows a float; the exact check accepts
+        p = PropositionParams(eta=Fraction(2, 2001), m0=1, d=1, k=1009, s=1)
+        assert p.m == 1 << 1008
+
+    @pytest.mark.parametrize("eta, m0, k, s, ok", [
+        (Fraction(1, 3), 1, 3, 3, True),  # m = 64 = 4^3
+        (Fraction(1, 3), 1, 3, 4, False),
+        (Fraction(2, 7), 1, 5, 2, False),  # 256 > 4^3.5 = 128
+        (Fraction(2, 7), 2, 5, 2, True),  # 256 = 4^3.5 * 2
+        (Fraction(3, 10), 3, 5, 2, True),  # 256 <= 4^(10/3) * 3 = 304.8
+        (Fraction(3, 10), 2, 5, 2, False),  # 256 > 203.2
+    ])
+    def test_growth_bound_exact(self, eta, m0, k, s, ok):
+        if ok:
+            PropositionParams(eta=eta, m0=m0, d=1, k=k, s=s)
+        else:
+            with pytest.raises(ParameterError, match="exceeds"):
+                PropositionParams(eta=eta, m0=m0, d=1, k=k, s=s)
 
 
 class TestBiasComplement:

@@ -170,6 +170,10 @@ class TestDimension:
     ("full-measure", "--eps", "3/2"),
     ("bias-set", "--eta", "2", "--m0", "4"),
     ("bias-set", "--eta", "1/2", "--m0", "4"),
+    # exponent notation: Fraction("1e-3000000") alone computes 10^3000000
+    ("bias-set", "--eta", "1e-3000000", "--m0", "2"),
+    ("full-measure", "--eps", "1e-3000000"),
+    ("full-measure", "--eps", "5E-1"),
     # a directory where an input file belongs
     ("cover", "--family", "{dir}", "--eps", "1/2", "--seed", "1"),
     ("dimension", "--set", "{dir}"),
@@ -191,6 +195,15 @@ def test_usage_error_exit_2(capsys, tmp_path, argv):
     assert code == 2
     assert "Traceback" not in err
     assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+
+
+@pytest.mark.parametrize("eta", ["1/1000000", "1/100000000000", "2/2001"])
+def test_field_beyond_cap_exit_1(capsys, eta):
+    # the prime k >= 1/eta is bounded by the cap before any 2^(k-1) is formed
+    code, out, err = run(capsys, "bias-set", "--eta", eta, "--m0", "2")
+    assert code == 1 and out == ""
+    assert err.splitlines() == [err.strip()] and "exceeds cap 16777216" in err
+    assert "Traceback" not in err
 
 
 class TestTraces:

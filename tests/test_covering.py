@@ -1,6 +1,7 @@
 """Random covering designs, lifts, pixel verification, the greedy piece cover."""
 
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -23,6 +24,7 @@ from nullcover.covering import (
 from nullcover.elementary import (
     IntervalAccumulator,
     _insert_offset,
+    box_translates,
     covered_measure,
     first_gap,
     greedy_piece_cover,
@@ -246,6 +248,21 @@ class TestLift:
         assert box.size <= 2 * B.size
 
 
+class TestBoxTranslates:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("offsets", [(0, 1), (-8, 0), (-9, -8, -7, -1, 0, 1), range(4)])
+    def test_matches_product_loop(self, d, offsets):
+        # cell-major, each cell's translates in lexicographic order of the vectors
+        cells = np.random.default_rng(d).integers(-20, 20, (7, d))
+        expected = [[c + v for c, v in zip(cell, vec)]
+                    for cell in cells.tolist() for vec in itertools.product(offsets, repeat=d)]
+        got = box_translates(cells, offsets, d)
+        assert got.dtype == np.int64 and got.tolist() == expected
+
+    def test_empty_cells(self):
+        assert box_translates(np.zeros((0, 2), dtype=np.int64), (0, 1), 2).shape == (0, 2)
+
+
 class TestPixelCoverMask:
     def test_single_point_single_cell(self):
         # member pixel j=0; B h-cells {0,1} (one delta cell): robust covers p=1 only
@@ -424,9 +441,7 @@ class TestDyadicCover:
         fam = SetFamily(d=1, kind="cube", point_exponent=9, members=[base])
         res = dyadic_cover_complement(fam, g=8, eps=Fraction(9, 10), seed=6)
         bigger = np.unique(np.concatenate([base, dense_cube_member(rng, 1, 9, 0.3)]), axis=0)
-        from nullcover.covering import _upscale_cells
-
-        hb = _upscale_cells(res.cells, 1, 2)
+        hb = box_translates(2 * res.cells, (0, 1), 1)
         hc = np.unique(bigger >> 0, axis=0)
         cov = pixel_cover_mask([hc], hb, 1, [0], [512])[0]
         assert cov.all()
