@@ -71,9 +71,12 @@ class PropositionParams:
             raise ParameterError("s must be >= 1")
         if self.m < self.m0:
             raise ParameterError(f"m = {self.m} below m0 = {self.m0}")
-        # m <= 4^(1/eta) m0 exactly: 2^x <= m0^a with eta = a/b, x = a log2(m) - 2b
+        # m <= 4^(1/eta) m0 exactly: 2^x <= m0^a with eta = a/b, x = a log2(m) - 2b;
+        # 2^(a(l-1)) <= m0^a < 2^(al) for l = bit_length(m0), so the powers are
+        # formed only for a(l-1) < x < al
         a, x = eta.numerator, eta.numerator * self.s * (self.k - 1) - 2 * eta.denominator
-        if self.m0 < 1 or x > 0 and (x >= a * self.m0.bit_length() or 1 << x > self.m0**a):
+        bl = self.m0.bit_length()
+        if self.m0 < 1 or x > a * (bl - 1) and (x >= a * bl or 1 << x > self.m0**a):
             raise ParameterError("m exceeds 4^(1/eta) * m0")
         if (self.q - 1) % self.k != 0:
             raise ParameterError("k does not divide q - 1")
@@ -326,10 +329,9 @@ def lift_to_signed_box(B: GroupSubset, m: int, d: int) -> SignedBoxSet:
     """
     if B.group.moduli != (m,) * d:
         raise ParameterError(f"B must live in Z_{m}^{d}")
-    base = np.stack(np.unravel_index(np.flatnonzero(B.mask), B.group.moduli), axis=1)
     # the translates of B inside [0, m)^d by {-m, 0}^d are disjoint, and
     # SignedBoxSet sorts the rows
-    return SignedBoxSet(d=d, m=m, points=box_translates(base, (-m, 0), d))
+    return SignedBoxSet(d=d, m=m, points=box_translates(B.member_array(), (-m, 0), d))
 
 
 def integer_cover_in_box(A_points: np.ndarray, box: SignedBoxSet, m: int) -> np.ndarray:

@@ -397,8 +397,7 @@ def dyadic_cover_complement(
     b_cyc, rc_cert = random_cover_complement(grid_family, eps_cyc, seed, max_draws=max_draws)
     # the signed-box lift (translates by {-m, 0}^d) and the neighbours
     # (translates by {-1, 0, 1}^d) in one step: {-m, 0} + {-1, 0, 1} per axis
-    base = np.stack(np.unravel_index(np.flatnonzero(b_cyc.mask), b_cyc.group.moduli), axis=1)
-    cells = box_translates(base, (-m - 1, -m, -m + 1, -1, 0, 1), d)
+    cells = box_translates(b_cyc.member_array(), (-m - 1, -m, -m + 1, -1, 0, 1), d)
     cells = cells[np.all((cells >= -m) & (cells < m), axis=1)]  # keep inside [-1,1]^d
     cells = unique_cells(cells, g + 1, lo=-m)
     measure = Fraction(int(cells.shape[0]), m**d)

@@ -150,6 +150,10 @@ class GroupSubset:
         w.setflags(write=False)
         return w
 
+    def member_array(self) -> np.ndarray:
+        """Members as the rows of an (N, r) integer array in lexicographic order."""
+        return np.stack(np.unravel_index(np.flatnonzero(self.mask), self.group.moduli), axis=1)
+
     def members(self) -> list[tuple[int, ...]]:
         """Members as coordinate tuples in lexicographic order."""
         return [self.group.element(int(i)) for i in np.flatnonzero(self.mask)]

@@ -119,6 +119,12 @@ class TestPropositionParams:
         p = PropositionParams(eta=Fraction(2, 2001), m0=1, d=1, k=1009, s=1)
         assert p.m == 1 << 1008
 
+    def test_growth_bound_with_large_numerator(self):
+        # x = 2*10^9 - 2 <= a (bit_length(17) - 1) = 4*10^9: accepted without
+        # forming 2^x or 17^a
+        p = PropositionParams(eta=Fraction(10**9, 3 * 10**9 + 1), m0=17, d=1, k=5, s=2)
+        assert p.m == 256
+
     @pytest.mark.parametrize("eta, m0, k, s, ok", [
         (Fraction(1, 3), 1, 3, 3, True),  # m = 64 = 4^3
         (Fraction(1, 3), 1, 3, 4, False),

@@ -206,6 +206,15 @@ def test_field_beyond_cap_exit_1(capsys, eta):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("a", [10**9, 10**3999], ids=["1e9", "1e3999"])
+def test_bias_set_large_eta_numerator(capsys, a):
+    # eta = a/(3a + 1) picks k = 5, s = 2, m = 256 <= 4^(1/eta) * 17; the exact
+    # growth check stays within bit lengths however large a is
+    code, out, err = run(capsys, "bias-set", "--eta", f"{a}/{3 * a + 1}", "--m0", "17")
+    assert code == 0 and err == ""
+    assert '"k": 5' in out and '"m": 256' in out
+
+
 class TestTraces:
     def test_rrp_and_verify_roundtrip(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
