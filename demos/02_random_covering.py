@@ -13,8 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from nullcover import SetFamily, dyadic_cover_complement, random_cover_complement, size_threshold
-from nullcover.covering import lift_cover_to_box
-from nullcover.bias_sets import integer_cover_in_box
+from nullcover.bias_sets import integer_cover_in_box, lift_to_signed_box
 from nullcover.groups import GroupSubset, sumset
 
 rng = np.random.default_rng(7)
@@ -34,7 +33,7 @@ print(f"verified A + B = Z_64 exactly: {sumset(A, B).size == 64}")
 
 # --- signed-box lift ---------------------------------------------------------
 
-box = lift_cover_to_box(B)
+box = lift_to_signed_box(B, 64, 1)
 covered = integer_cover_in_box(member, box, 64)
 print(f"signed-box lift: {box.size} points in {{-64,...,63}}, "
       f"integer sums cover [64): {covered.all()}")

@@ -18,8 +18,7 @@ _EXPORTS = {
     "gf": "FieldSpec make_field kth_power_codes coordinate_subset",
     "bias_sets": """PropositionParams SignedBoxSet select_parameters build_bias_complement
         verify_coverage_bound lift_to_signed_box coverage_threshold""",
-    "covering": """SetFamily size_threshold random_cover_complement lift_cover_to_box
-        dyadic_cover_complement""",
+    "covering": "SetFamily size_threshold random_cover_complement dyadic_cover_complement",
     "fractal": """DyadicCubeSet GaugeFunction generate_cantor
         covering_number packing_number_greedy hausdorff_content_dyadic
         hausdorff_distance uniform_large_subset log_dimension_estimate""",

@@ -360,9 +360,8 @@ def coverage_threshold(lemma_constant: Fraction, eps) -> int:
     return n + 1 if need != n else max(n, 1)
 
 
-def spec_threshold_constant(d: int) -> int:
-    """The recorded reference factor C_d * 2^d with C_d = 5^d."""
-    return 10**d
+# the recorded reference factor C_d 2^d of a patch (d = 1), with C_d = 5^d
+SPEC_THRESHOLD_FACTOR = 10
 
 
 def choose_patch_k(eta_prop: Fraction, min_m: int, cap: int = DEFAULT_FIELD_CAP) -> tuple[int, int]:
@@ -401,7 +400,7 @@ class PatchTemplate:
     bias: Fraction
     lemma_constant: Fraction
     threshold_nz: int  # operative |A*| requirement (direct grid construction)
-    threshold_spec: int  # reference threshold with the 10^d factor
+    threshold_spec: int  # reference threshold, SPEC_THRESHOLD_FACTOR * threshold_nz
     budget_cells: int  # allowed cell count
 
     @property
@@ -438,7 +437,7 @@ class PatchTemplate:
             "bias": float(self.bias),
             "lemma_constant": float(self.lemma_constant),
             "threshold_nz": self.threshold_nz,
-            "threshold_spec_factor": spec_threshold_constant(1),
+            "threshold_spec_factor": SPEC_THRESHOLD_FACTOR,
             "threshold_spec": self.threshold_spec,
             "log_convention": "natural",
         }
@@ -500,7 +499,7 @@ def build_patch_template(
         bias=comp.bias,
         lemma_constant=k_b,
         threshold_nz=nz,
-        threshold_spec=spec_threshold_constant(1) * nz,
+        threshold_spec=SPEC_THRESHOLD_FACTOR * nz,
         budget_cells=budget,
     )
     if tpl.cell_count > budget:

@@ -152,9 +152,6 @@ def _cmd_cover(args) -> int:
     family = _load(args.family, SetFamily)
     try:
         if family.kind == "grid":
-            if args.N is not None and args.N != family.N:
-                print(f"error: family has N = {family.N}, got --N {args.N}", file=sys.stderr)
-                return 2
             B, cert = random_cover_complement(family, args.eps, seed=args.seed)
             data = {
                 "schema": "nullcover/1",
@@ -173,7 +170,7 @@ def _cmd_cover(args) -> int:
     except CoverError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1
-    _emit(data, args.out, args.format)
+    _emit(data, args.out, "json")
     return 0
 
 
@@ -199,15 +196,13 @@ def _cmd_dimension(args) -> int:
 def _cmd_rrp(args) -> int:
     from nullcover.engine import AffineMap, FunctionFamily, middle_thirds_points, rrp_run
 
-    points = middle_thirds_points(args.cantor_depth, grid_exp=args.grid_exp)
+    points = middle_thirds_points(args.cantor_depth, args.grid_exp)
     fam = FunctionFamily(
         maps=[AffineMap(Fraction(1, 2), Fraction(i, 1 << 20)) for i in range(args.maps)],
         bilipschitz_c=Fraction(2),
     )
-    rho = [Fraction(1)] + [Fraction(1, 1 << (10 + j)) for j in range(args.depth - 1)]
     try:
-        trace = rrp_run(points, fam, depth=args.depth, rho_schedule=rho,
-                        piece_w_schedule=[12] * args.depth)
+        trace = rrp_run(points, fam, depth=args.depth)
     except ValueError as exc:  # EngineError, CoverError, ParameterError
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1
@@ -216,9 +211,12 @@ def _cmd_rrp(args) -> int:
 
 
 def _cmd_full_measure(args) -> int:
-    from nullcover.engine import GridSet, full_measure_run
+    from nullcover.engine import EngineError, GridSet, full_measure_run
 
-    grid = GridSet(spacing_exponent=args.spacing_exp, region=[(Fraction(0), Fraction(1, 2))])
+    try:
+        grid = GridSet(spacing_exponent=args.spacing_exp, region=[(Fraction(0), Fraction(1, 2))])
+    except EngineError as exc:  # a spacing exponent no verifier would read back
+        raise UsageError(str(exc)) from exc
     try:
         trace = full_measure_run(grid, args.eps, depth=args.depth)
     except ValueError as exc:  # EngineError, CoverError, ParameterError
@@ -267,11 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cover", help="randomized covering complement")
     sp.add_argument("--family", required=True, help="SetFamily JSON file")
     sp.add_argument("--eps", type=_positive_rational, required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--N", type=int)
+    sp.add_argument("--seed", type=_nonneg_int, required=True)
     sp.add_argument("--g", type=_nonneg_int, default=6, help="dyadic scale exponent for cube families")
     sp.add_argument("--out")
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=_cmd_cover)
 
     sp = sub.add_parser("dimension", help="logarithmic dimension estimate")

@@ -40,6 +40,8 @@ from nullcover.groups import FiniteAbelianGroup, GroupSubset, sumset_counts
 # the largest dense mask a construction allocates holds 2^MAX_MASK_BITS cells
 # (one member row, or one pixel grid); the constructions in use need 2^16
 MAX_MASK_BITS = 24
+# the draws `random_cover_complement` makes before it raises RetryBudgetError
+MAX_DRAWS = 64
 
 
 class ThresholdError(CoverError):
@@ -163,10 +165,9 @@ class RandomCoverCertificate:
         return {"schema": "nullcover/1", "kind": "random_cover", **self.__dict__}
 
 
-def random_cover_complement(
-    family: SetFamily, eps, seed: int, max_draws: int = 64
-) -> tuple[GroupSubset, RandomCoverCertificate]:
-    """B of size floor(eps N^d), uniform, verified to cover for all members."""
+def random_cover_complement(family: SetFamily, eps, seed: int) -> tuple[GroupSubset, RandomCoverCertificate]:
+    """B of size floor(eps N^d), uniform, verified to cover for all members
+    within MAX_DRAWS draws."""
     if family.kind != "grid":
         raise CoverError("random_cover_complement needs a grid family")
     eps = frac(eps)
@@ -190,7 +191,7 @@ def random_cover_complement(
         raise CoverError("eps * N^d below 1: empty complement cannot cover")
     exp_bound = sum(n_total * (1 - s / n_total) ** b_size for s in sizes)
     rng = np.random.default_rng(seed)
-    for draw in range(1, max_draws + 1):
+    for draw in range(1, MAX_DRAWS + 1):
         flat = _uniform_subset(rng, n_total, b_size)
         b_mask = np.zeros(n_total, dtype=bool)
         b_mask[flat] = True
@@ -210,18 +211,7 @@ def random_cover_complement(
                 expected_uncovered_bound=float(exp_bound),
             )
             return GroupSubset(FiniteAbelianGroup(shape), b_mask), cert
-    raise RetryBudgetError(f"no covering draw in {max_draws} attempts (seed {seed})")
-
-
-def lift_cover_to_box(B: GroupSubset):
-    """Signed-box lift of a cyclic complement (translates by {-N, 0}^d)."""
-    from nullcover.bias_sets import lift_to_signed_box
-
-    moduli = B.group.moduli
-    N = moduli[0]
-    if any(m != N for m in moduli):
-        raise CoverError("lift requires Z_N^d")
-    return lift_to_signed_box(B, N, len(moduli))
+    raise RetryBudgetError(f"no covering draw in {MAX_DRAWS} attempts (seed {seed})")
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +344,7 @@ class DyadicCoverResult:
     certificate: dict
 
 
-def dyadic_cover_complement(
-    family: SetFamily, g: int, eps, seed: int, max_draws: int = 64
-) -> DyadicCoverResult:
+def dyadic_cover_complement(family: SetFamily, g: int, eps, seed: int) -> DyadicCoverResult:
     """Union B of delta-dyadic cubes (delta = 2^-g) in [-1,1]^d with |B| <= eps
     and A + B covering [0,1]^d for every member, pixel-verified at delta/2.
 
@@ -394,7 +382,7 @@ def dyadic_cover_complement(
         )
     eps_cyc = eps * Fraction(1, 2 * 6**d)
     grid_family = SetFamily(d=d, kind="grid", N=m, members=grid_members)
-    b_cyc, rc_cert = random_cover_complement(grid_family, eps_cyc, seed, max_draws=max_draws)
+    b_cyc, rc_cert = random_cover_complement(grid_family, eps_cyc, seed)
     # the signed-box lift (translates by {-m, 0}^d) and the neighbours
     # (translates by {-1, 0, 1}^d) in one step: {-m, 0} + {-1, 0, 1} per axis
     cells = box_translates(b_cyc.member_array(), (-m - 1, -m, -m + 1, -1, 0, 1), d)

@@ -283,12 +283,11 @@ class ConstructionTrace:
         return hashlib.sha256(blob).hexdigest()
 
 
-def middle_thirds_points(depth: int, grid_exp: Optional[int] = None) -> list[Fraction]:
-    """Both endpoints of the level-`depth` middle-thirds intervals.
-
-    With `grid_exp` the points are snapped to the 2^-grid_exp grid (nearest,
-    ties down), the same dyadic modelling step the fractal rasterizers use;
-    the snapped set is what the exact dyadic construction frame consumes.
+def middle_thirds_points(depth: int, grid_exp: int) -> list[Fraction]:
+    """Both endpoints of the level-`depth` middle-thirds intervals, snapped to
+    the 2^-grid_exp grid (nearest, ties down): the same dyadic modelling step
+    the fractal rasterizers use, and what the exact dyadic construction frame
+    consumes.
     """
     intervals = [(Fraction(0), Fraction(1))]
     for _ in range(depth):
@@ -298,12 +297,8 @@ def middle_thirds_points(depth: int, grid_exp: Optional[int] = None) -> list[Fra
             nxt.append((lo, lo + w))
             nxt.append((hi - w, hi))
         intervals = nxt
-    pts = sorted({p for iv in intervals for p in iv})
-    if grid_exp is None:
-        return pts
     scale = 1 << grid_exp
-    snapped = sorted({Fraction(math.floor(p * scale + Fraction(1, 2)), scale) for p in pts})
-    return snapped
+    return sorted({Fraction(math.floor(p * scale + Fraction(1, 2)), scale) for iv in intervals for p in iv})
 
 
 def rrp_run(
@@ -321,7 +316,8 @@ def rrp_run(
     targets), which caps the wandering of K_{j+1} away from K_j and hence
     the realized delta_j; piece_w_schedule[j] is the exponent of the piece
     width 2^-w used at step j (longer pieces keep the component count of K_j
-    compatible with the 2 delta_j-neighborhood bound).  The seed rectangle
+    compatible with the 2 delta_j-neighborhood bound).  By default rho is
+    1, 2^-10, 2^-11, ... and w is 12 at every step.  The seed rectangle
     R = [r_lo, r_hi] is the least one on the 1/16 grid with [0, 1] inside
     f(a0) + R for every map.
     """
@@ -332,9 +328,9 @@ def rrp_run(
     r_lo = Fraction(math.floor(min(-f(a0) for f in family.maps) * 16), 16)
     r_hi = Fraction(math.ceil(max(1 - f(a0) for f in family.maps) * 16), 16)
     if rho_schedule is None:
-        rho_schedule = [Fraction(1, 4)] + [Fraction(1, 1 << 10)] * (depth - 1)
+        rho_schedule = [Fraction(1)] + [Fraction(1, 1 << (10 + j)) for j in range(depth - 1)]
     if piece_w_schedule is None:
-        piece_w_schedule = [11] + [12] * (depth - 1)
+        piece_w_schedule = [12] * depth
     if len(rho_schedule) < depth or len(piece_w_schedule) < depth:
         raise EngineError("schedules shorter than depth")
     piece_w_exp = max(piece_w_schedule[:depth])
@@ -530,7 +526,7 @@ def verify_rrp_trace(data: dict) -> dict:
 
 
 # far finer than any cascade stage reaches; bounds the shifts `GridSet.cells`
-# makes for a grid read from a trace
+# makes, and so every grid a trace records reads back
 MAX_SPACING_EXPONENT = 1 << 12
 
 
@@ -540,13 +536,15 @@ class GridSet:
 
     The region is stored merged as closed [lo, hi] pairs, but the point rule
     is half-open: the set holds the grid points of each [lo, hi), so a grid
-    point at a right endpoint is not in it.
+    point at a right endpoint is not in it.  The spacing exponent is an int
+    in [0, MAX_SPACING_EXPONENT]; EngineError otherwise.
     """
 
     spacing_exponent: int
     region: list  # [(lo, hi)] Fractions, merged
 
     def __post_init__(self):
+        json_int(vars(self), "spacing_exponent", 0, MAX_SPACING_EXPONENT, EngineError)
         self.region = merge_intervals([(frac(a), frac(b)) for a, b in self.region])
 
     def cells(self, level: int) -> np.ndarray:
@@ -573,8 +571,8 @@ class GridSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GridSet":
-        s = json_int(data, "spacing_exponent", 0, MAX_SPACING_EXPONENT, EngineError)
-        return cls(s, [_rationals(iv, "region endpoint", 2) for iv in _field(data, "region", list)])
+        region = [_rationals(iv, "region endpoint", 2) for iv in _field(data, "region", list)]
+        return cls(data.get("spacing_exponent"), region)
 
 
 @dataclass

@@ -35,6 +35,9 @@ import numpy as np
 
 from nullcover.elementary import box_translates, cell_keys, frac, json_int, key_cells, unique_cells
 
+# the most base-b boxes a digit rule of `generate_cantor` may keep
+MAX_CANTOR_CELLS = 1 << 22
+
 
 class FractalError(ValueError):
     pass
@@ -216,12 +219,13 @@ def _rasterize_boxes(axes: list[list[int]], scale: int, k: int) -> np.ndarray:
     return np.stack([g.reshape(-1) for g in np.meshgrid(*ranges, indexing="ij")], axis=1)
 
 
-def generate_cantor(rule: dict, depth: int, max_cells: int = 1 << 22) -> DyadicCubeSet:
+def generate_cantor(rule: dict, depth: int) -> DyadicCubeSet:
     """Deterministic Cantor-like test sets.
 
     rule = {"kind": "digits", "base": b, "digits": [per-axis digit lists]} keeps
     the base-b cells with the allowed digits for `depth` levels and rasterizes
-    to the finest dyadic grid at least as fine as b^-depth.
+    to the finest dyadic grid at least as fine as b^-depth; a rule keeping
+    more than MAX_CANTOR_CELLS boxes is a FractalError.
 
     rule = {"kind": "sparse", "schedule": [(N_k, g_k)]} keeps N_k cells in
     total at resolution 2^-g_k, evenly strided within the kept cells of the
@@ -243,7 +247,7 @@ def generate_cantor(rule: dict, depth: int, max_cells: int = 1 << 22) -> DyadicC
         n_boxes = 1
         for ds in digits:
             n_boxes *= len(ds) ** depth
-        if n_boxes > max_cells:
+        if n_boxes > MAX_CANTOR_CELLS:
             raise FractalError("depth cap exceeded")
         axes = _digit_boxes(base, digits, depth)
         scale = base**depth

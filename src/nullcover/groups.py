@@ -112,9 +112,6 @@ class GroupFunction:
             and np.array_equal(self.values, other.values)
         )
 
-    def allclose(self, other: "GroupFunction", tol: float = 1e-9) -> bool:
-        return self.group == other.group and np.allclose(self.values, other.values, atol=tol)
-
 
 class GroupSubset:
     """Subset of a finite abelian group stored as a read-only boolean mask.
@@ -132,10 +129,11 @@ class GroupSubset:
         self.mask = mask
 
     @classmethod
-    def from_members(cls, group: FiniteAbelianGroup, members: Iterable[Sequence[int]]) -> "GroupSubset":
+    def from_members(cls, group: FiniteAbelianGroup, members: Sequence[Sequence[int]]) -> "GroupSubset":
+        """The subset of the given coordinate tuples, each coordinate reduced mod its modulus."""
+        coords = np.asarray(members, dtype=np.int64).reshape(-1, len(group.moduli))
         mask = np.zeros(group.order, dtype=bool)
-        for mem in members:
-            mask[group.index(mem)] = True
+        mask[np.ravel_multi_index(tuple(coords.T), group.moduli, mode="wrap")] = True
         return cls(group, mask)
 
     @functools.cached_property
@@ -156,18 +154,15 @@ class GroupSubset:
 
     def members(self) -> list[tuple[int, ...]]:
         """Members as coordinate tuples in lexicographic order."""
-        return [self.group.element(int(i)) for i in np.flatnonzero(self.mask)]
+        return [tuple(row) for row in self.member_array().tolist()]
 
     def to_json_dict(self) -> dict:
-        return {"moduli": list(self.group.moduli), "members": [list(m) for m in self.members()]}
+        return {"moduli": list(self.group.moduli), "members": self.member_array().tolist()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GroupSubset":
         group = FiniteAbelianGroup(tuple(data["moduli"]))
         return cls.from_members(group, data["members"])
-
-    def __contains__(self, element) -> bool:
-        return bool(self.mask[self.group.index(element)])
 
     def __eq__(self, other):
         return (

@@ -181,6 +181,13 @@ class TestDimension:
     # an integer literal beyond Python's 4300-digit str-to-int limit
     ("cover", "--family", "{huge_family}", "--eps", "1/2", "--seed", "1"),
     ("verify", "{huge_trace}"),
+    # a negative seed, and the options `cover` does not take, on a family it covers
+    ("cover", "--family", "{grid}", "--eps", "1/2", "--seed", "-1"),
+    ("cover", "--family", "{grid}", "--eps", "1/2", "--seed", "1", "--N", "64"),
+    ("cover", "--family", "{grid}", "--eps", "1/2", "--seed", "1", "--format", "csv"),
+    # a grid no verifier reads back is refused at build
+    ("full-measure", "--spacing-exp", "4097"),
+    ("full-measure", "--spacing-exp", "100000000"),
 ])
 def test_usage_error_exit_2(capsys, tmp_path, argv):
     empty = tmp_path / "empty.json"
@@ -190,7 +197,10 @@ def test_usage_error_exit_2(capsys, tmp_path, argv):
     huge_family.write_text(f'{{"d": 1, "kind": "grid", "N": 8, "members": [[[{huge}]]]}}')
     huge_trace = tmp_path / "huge_trace.json"
     huge_trace.write_text(f'{{"kind": "rrp", "frame_denominator": {huge}}}')
-    paths = {"empty": empty, "dir": tmp_path, "huge_family": huge_family, "huge_trace": huge_trace}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"d": 1, "kind": "grid", "N": 64, "members": [[[x] for x in range(0, 60, 3)]]}))
+    paths = {"empty": empty, "dir": tmp_path, "huge_family": huge_family, "huge_trace": huge_trace,
+             "grid": grid}
     code, _, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert "Traceback" not in err
@@ -240,6 +250,13 @@ class TestTraces:
         trace.write_text(json.dumps(data))
         code, _, _ = run(capsys, "verify", str(trace))
         assert code == 1
+
+    def test_full_measure_finest_spacing_verifies(self, capsys, tmp_path):
+        # the finest spacing a build takes is one the verifier reads back
+        trace = tmp_path / "fm.json"
+        assert run(capsys, "full-measure", "--spacing-exp", "4096", "--depth", "3", "--out", str(trace))[0] == 0
+        code, out, _ = run(capsys, "verify", str(trace))
+        assert code == 0 and json.loads(out)["rebuild_identical"]
 
     def test_full_measure_depth4(self, capsys, tmp_path):
         trace = tmp_path / "fm.json"

@@ -19,7 +19,6 @@ from nullcover.covering import (
     pixel_cover_mask,
     random_cover_complement,
     size_threshold,
-    lift_cover_to_box,
 )
 from nullcover.elementary import (
     IntervalAccumulator,
@@ -33,7 +32,7 @@ from nullcover.elementary import (
     points_plus,
 )
 from nullcover import engine
-from nullcover.bias_sets import build_bias_complement, select_parameters, verify_coverage_bound
+from nullcover.bias_sets import build_bias_complement, lift_to_signed_box, select_parameters, verify_coverage_bound
 from nullcover.cli import main
 from nullcover.engine import AffineMap, FunctionFamily, middle_thirds_points, rrp_run
 from nullcover.fractal import (
@@ -186,11 +185,12 @@ class TestRandomCover:
             total_uncovered += int((counts < 1).sum())
         assert total_uncovered / 10_000 < 1  # empirical E|Z_N \ (A+B)| < 1
 
-    def test_retry_budget_error(self):
+    def test_retry_budget_error(self, monkeypatch):
+        monkeypatch.setattr("nullcover.covering.MAX_DRAWS", 0)
         member = np.arange(0, 64, 2).reshape(-1, 1)
         fam = SetFamily(d=1, kind="grid", N=64, members=[member])
         with pytest.raises(RetryBudgetError, match="0 attempts"):
-            random_cover_complement(fam, Fraction(1, 2), seed=0, max_draws=0)
+            random_cover_complement(fam, Fraction(1, 2), seed=0)
 
     def test_n2_grid_family_takes_the_wht_branch(self):
         # N = 2: the group is (Z_2)^6, so the batched check runs on the exact WHT path
@@ -244,7 +244,7 @@ class TestLift:
     def test_lift_roundtrip_dimensions(self):
         fam = SetFamily(d=1, kind="grid", N=16, members=[np.arange(16).reshape(-1, 1)])
         B, _ = random_cover_complement(fam, Fraction(1, 2), seed=1)
-        box = lift_cover_to_box(B)
+        box = lift_to_signed_box(B, 16, 1)
         assert box.size <= 2 * B.size
 
 

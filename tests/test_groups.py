@@ -1,6 +1,7 @@
 """Fourier/sumset machinery tests against direct character-sum oracles."""
 
 import cmath
+import json
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -432,6 +433,27 @@ def test_subset_serialization_roundtrip():
     d = B.to_json_dict()
     assert d["members"] == sorted(d["members"])  # lexicographic order
     assert GroupSubset.from_json_dict(d) == B
+
+
+@pytest.mark.parametrize("moduli", [(1,), (7,), (3, 4), (2, 5, 3), (4, 1, 6)])
+@pytest.mark.parametrize("n", [0, 1, 5, 40])
+def test_subset_layout_matches_scalar_index(moduli, n):
+    # the numpy layout against FiniteAbelianGroup.index/element, one element at
+    # a time: negative coordinates and coordinates >= m wrap mod m
+    g = FiniteAbelianGroup(moduli)
+    rng = np.random.default_rng(n + sum(moduli))
+    hi = 3 * np.array(moduli)
+    members = [tuple(rng.integers(-hi, hi + 1).tolist()) for _ in range(n)]
+    mask = np.zeros(g.order, dtype=bool)
+    for mem in members:
+        mask[g.index(mem)] = True
+    expected = [g.element(i) for i in np.flatnonzero(mask).tolist()]
+    B = GroupSubset.from_members(g, members)
+    assert np.array_equal(B.mask, mask)
+    assert B.members() == expected
+    assert all(type(x) is int for mem in B.members() for x in mem)
+    assert B.to_json_dict() == {"moduli": list(moduli), "members": [list(e) for e in expected]}
+    assert json.loads(json.dumps(B.to_json_dict())) == B.to_json_dict()
 
 
 class TestFixedSubset:
